@@ -26,9 +26,9 @@ Run it directly::
     PYTHONPATH=src python benchmarks/bench_stream.py --sizes 10000000 \
         --stream-only --profile
 
-``--kernel`` pins the event-kernel tier (``scalar`` / ``vector`` /
-``compiled`` / default ``auto``) for every case — totals are
-kernel-invariant, so an A/B between tiers is two runs of this script.
+``--kernel`` pins the event kernel (default ``vector``, or the ``scalar``
+reference) for every case — totals are kernel-invariant, so an A/B
+between the two is two runs of this script.
 ``--profile`` adds each streaming case's kernel telemetry (clean /
 conveyor / replayed event counts, segmentation passes) to the report.
 """
@@ -91,7 +91,7 @@ def _run_child(
     mode: str,
     policy: str,
     chaos: bool = False,
-    kernel: str = "auto",
+    kernel: str = "vector",
     profile: bool = False,
 ) -> dict:
     """One measured case in a fresh interpreter; returns its JSON report."""
@@ -206,10 +206,10 @@ def main(argv=None) -> int:
                         default=[10_000, 100_000, 1_000_000])
     parser.add_argument("--policy", default="baseline",
                         help="scheduling policy to drive both engines with")
-    parser.add_argument("--kernel", default="auto",
-                        choices=["auto", "scalar", "vector", "compiled"],
-                        help="event-kernel tier for every case (totals are "
-                             "kernel-invariant; A/B tiers with two runs)")
+    parser.add_argument("--kernel", default="vector",
+                        choices=["vector", "scalar"],
+                        help="event kernel for every case (totals are "
+                             "kernel-invariant; A/B kernels with two runs)")
     parser.add_argument("--profile", action="store_true",
                         help="record each case's kernel telemetry (clean/"
                              "conveyor/replayed event counts) in the report")
@@ -252,7 +252,6 @@ def main(argv=None) -> int:
             f"        kernel={stats.get('kernel', '?')}: "
             f"{stats.get('clean_events', 0):,} clean + "
             f"{stats.get('conveyor_events', 0):,} conveyor + "
-            f"{stats.get('compiled_events', 0):,} compiled + "
             f"{stats.get('replayed_events', 0):,} replayed events, "
             f"{stats.get('prefix_segments', 0):,} prefix segments, "
             f"{stats.get('windows', 0):,} windows"

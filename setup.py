@@ -1,17 +1,9 @@
 """Setuptools entry point.
 
 The package has no hard dependencies beyond NumPy (SciPy is optional at
-runtime, gated behind solver availability checks).  ``numba`` is an
-optional extra: ``pip install -e .[compiled]`` enables the jitted
-flat-array event kernel (``kernel="compiled"``, picked up automatically by
-``kernel="auto"``); without it the engines fall back to the interpreted
-twin with identical digests.
+runtime, gated behind solver availability checks).
 """
 
 from setuptools import setup
 
-setup(
-    extras_require={
-        "compiled": ["numba"],
-    },
-)
+setup()

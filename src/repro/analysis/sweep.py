@@ -149,9 +149,9 @@ def simulate(
     aggregate-only :class:`~repro.cluster.streaming.StreamResult` (same
     figures of merit, no per-job outcome list).
 
-    ``kernel`` selects the array engines' event-kernel tier
-    (``auto``/``vector``/``scalar``/``compiled``; results are
-    tier-invariant).  The scalar *engine* has no kernel and ignores it.
+    ``kernel`` selects the array engines' event kernel: ``vector`` (the
+    production kernel) or ``scalar`` (the event-at-a-time reference; same
+    decisions).  The scalar *engine* has no kernel and ignores it.
     """
     if engine not in ("scalar", "batch", "stream"):
         raise ValueError(

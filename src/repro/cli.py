@@ -137,10 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(by cumulative time) to FILE",
     )
     simulate.add_argument(
-        "--kernel", choices=["auto", "scalar", "vector", "compiled"], default=None,
-        help="event-kernel tier for the array engines (results are "
-             "tier-invariant; 'auto' picks the numba-compiled kernel when "
-             "numba is installed; default: vector)",
+        "--kernel", choices=["vector", "scalar"], default=None,
+        help="event kernel for the array engines: vector = production, "
+             "scalar = event-at-a-time reference (identical decisions; "
+             "default: vector)",
     )
     simulate.add_argument(
         "--solver", choices=["auto", "scipy", "native", "structured"], default="auto",
@@ -370,7 +370,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     engine, chunk_size = _resolve_engine(args, chaos)
     if args.kernel is not None and engine == "scalar":
         raise SystemExit(
-            "--kernel selects the array engines' event-kernel tier; the "
+            "--kernel selects the array engines' event kernel; the "
             "scalar engine has none (use --engine batch/stream/fused)"
         )
     kernel = args.kernel or "vector"

@@ -41,13 +41,6 @@ per region:
   for operation identical to the pre-kernel engines (finishes before
   readies at equal times, sequenced pushes, FIFO admission).
 
-The replay residue itself has two implementations: the reference Python
-heap loop in this module, and a flat-array twin in
-:mod:`repro.cluster._kernel_compiled` that compiles under numba ``@njit``
-when numba is installed (``kernel="compiled"``; ``kernel="auto"`` picks it
-up automatically) and runs as plain Python otherwise.  Both are held
-byte-identical to the reference by the registry-wide differential harness.
-
 Callers can additionally force regions onto the replay path through the
 ``contended`` mask; the prefix-sum proof itself is already structurally
 safe under time-varying capacity (a drained region running over its
@@ -59,9 +52,11 @@ The clean path only fires when it is provably equivalent to the replay, and
 the replay *is* the original algorithm, so per-job regions, start/finish/
 ready times, deferrals and footprints — everything ``BatchResult.digest()``
 hashes — are byte-identical either way.  The registry-wide differential
-harness enforces this, and the engines expose ``kernel="scalar"`` to force
-the reference loop everywhere (used by differential tests and as the
-benchmark baseline).
+harness enforces this.  The engines therefore run two kernels: the
+production ``kernel="vector"`` (clean prefixes, then the conveyor, then a
+replay of whatever is left) and the reference ``kernel="scalar"``, which
+replays every event (used by differential tests and as the benchmark
+baseline).
 
 Sequence numbers keep their engine-level contract: commits assign one
 ``seq`` per READY push in commit order, starts one ``seq`` per FINISH push.
@@ -123,43 +118,30 @@ class KernelStats:
     so a resumed run keeps counting where it left off.  ``clean_events``
     counts events applied through the vectorized clean/prefix machinery,
     ``conveyor_events`` events through the server-release conveyor (a
-    release-time heap instead of a full event replay),
-    ``replayed_events`` events through the Python heap replay and
-    ``compiled_events`` events through the flat-array kernel (numba-compiled
-    when available, interpreted otherwise).
+    release-time heap instead of a full event replay) and
+    ``replayed_events`` events through the Python heap replay.
     """
 
     windows: int = 0
     clean_events: int = 0
     conveyor_events: int = 0
     replayed_events: int = 0
-    compiled_events: int = 0
     prefix_segments: int = 0
     segment_passes: int = 0
     early_exits: int = 0
-    compile_time_s: float = 0.0
-    compiled_active: bool = False
 
     def merge(self, other: "KernelStats") -> None:
         self.windows += other.windows
         self.clean_events += other.clean_events
         self.conveyor_events += other.conveyor_events
         self.replayed_events += other.replayed_events
-        self.compiled_events += other.compiled_events
         self.prefix_segments += other.prefix_segments
         self.segment_passes += other.segment_passes
         self.early_exits += other.early_exits
-        self.compile_time_s += other.compile_time_s
-        self.compiled_active = self.compiled_active or other.compiled_active
 
     @property
     def total_events(self) -> int:
-        return (
-            self.clean_events
-            + self.conveyor_events
-            + self.replayed_events
-            + self.compiled_events
-        )
+        return self.clean_events + self.conveyor_events + self.replayed_events
 
     @property
     def vector_fraction(self) -> float:
@@ -173,12 +155,9 @@ class KernelStats:
             "clean_events": self.clean_events,
             "conveyor_events": self.conveyor_events,
             "replayed_events": self.replayed_events,
-            "compiled_events": self.compiled_events,
             "prefix_segments": self.prefix_segments,
             "segment_passes": self.segment_passes,
             "early_exits": self.early_exits,
-            "compile_time_s": self.compile_time_s,
-            "compiled_active": self.compiled_active,
             "vector_fraction": self.vector_fraction,
         }
 
@@ -293,7 +272,6 @@ def process_until(
     finished: list | None,
     use_fast: bool = True,
     contended: np.ndarray | None = None,
-    compiled: bool = False,
     stats: KernelStats | None = None,
 ) -> float:
     """Process every event at or before ``limit``; returns the max finish time.
@@ -306,11 +284,9 @@ def process_until(
     order on every kernel, chunk size and checkpoint layout.  ``contended``
     (a per-region bool mask) forces regions onto the replay path regardless
     of the clean proof; the engines no longer need it (capacity is constant
-    inside a window) but the hook remains for tests.  ``compiled`` routes
-    the replay residue through the flat-array kernel in
-    :mod:`repro.cluster._kernel_compiled` (numba-jitted when available,
-    interpreted otherwise).  ``stats`` (a :class:`KernelStats`) accumulates
-    per-path event counters.  Returns ``-inf`` when nothing finished.
+    inside a window) but the hook remains for tests.  ``stats`` (a
+    :class:`KernelStats`) accumulates per-path event counters.  Returns
+    ``-inf`` when nothing finished.
     """
     nf = int(np.searchsorted(queue.finish_when, limit, side="right"))
     nr = int(np.searchsorted(queue.ready_when, limit, side="right"))
@@ -389,7 +365,7 @@ def process_until(
                         f_seq = np.concatenate([f_seq, rs_seq])
                         f_slot = np.concatenate([f_slot, rs_slot])
                         f_reg = np.concatenate([f_reg, rs_reg])
-            if not compiled and (len(r_when) or len(f_when)):
+            if len(r_when) or len(f_when):
                 conv = _conveyor(
                     queue, limit, r_when, r_seq, r_slot, r_reg,
                     f_when, f_seq, f_slot, f_reg,
@@ -417,21 +393,6 @@ def process_until(
         if n_events == 0:
             break
         passes += 1
-        if compiled:
-            from . import _kernel_compiled
-
-            span = _kernel_compiled.replay_window(
-                queue, limit, r_when, r_seq, r_slot, r_reg,
-                f_when, f_seq, f_slot, f_reg,
-                servers=servers, exec_real=exec_real, start=start,
-                finish=finish, free=free, committed=committed,
-                busy_seconds=busy_seconds, queues=queues, rec=rec,
-                stats=stats,
-            )
-            makespan = max(makespan, span)
-            if stats is not None:
-                stats.compiled_events += n_events
-            break
         early_ok = (
             use_fast
             and passes < _MAX_SEGMENT_PASSES

@@ -4,8 +4,7 @@ Besides the object-world :class:`JobOutcome` / :class:`SimulationResult`
 pair, this module provides the *carry-over accumulators* of the streaming
 horizon engine: :class:`RunningJobStats` folds finished-job chunks into the
 aggregate figures of merit without retaining per-job columns, assisted by
-:class:`StreamingQuantiles` / :class:`P2Quantile` (constant-memory
-quantile estimation) and
+:class:`StreamingQuantiles` (constant-memory quantile estimation) and
 :class:`ReservoirSample` (a seeded uniform sample of per-job rows for
 post-hoc inspection).  All three are picklable, so a checkpointed engine
 resumes mid-aggregation.
@@ -24,7 +23,6 @@ __all__ = [
     "JobOutcome",
     "SimulationResult",
     "ExactSum",
-    "P2Quantile",
     "StreamingQuantiles",
     "ReservoirSample",
     "RunningJobStats",
@@ -387,102 +385,14 @@ class SimulationResult:
         )
 
 
-class P2Quantile:
-    """Streaming quantile estimate via the P² algorithm (Jain & Chlamtac 1985).
-
-    Keeps five markers instead of the sample, so memory stays O(1) no matter
-    how many observations arrive.  Until five observations are seen the exact
-    order statistic is returned.  Results are deterministic in the insertion
-    order, which the streaming engine fixes (finish order).
-    """
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"q must be in (0, 1), got {q}")
-        self.q = float(q)
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self.count = 0
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(value)
-            heights.sort()
-            return
-        positions = self._positions
-        # Locate the cell and update the extreme markers.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust the three interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            delta = self._desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:  # parabolic estimate escaped the bracket: linear step
-                    j = i + int(step)
-                    heights[i] = heights[i] + step * (heights[j] - heights[i]) / (
-                        positions[j] - positions[i]
-                    )
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, p = self._heights, self._positions
-        return h[i] + step / (p[i + 1] - p[i - 1]) * (
-            (p[i] - p[i - 1] + step) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-            + (p[i + 1] - p[i] - step) * (h[i] - h[i - 1]) / (p[i] - p[i - 1])
-        )
-
-    def add_many(self, values) -> None:
-        for value in np.asarray(values, dtype=float).ravel():
-            self.add(value)
-
-    def value(self) -> float:
-        """The current quantile estimate (NaN before the first observation)."""
-        heights = self._heights
-        if not heights:
-            return float("nan")
-        if self.count <= 5:
-            rank = self.q * (len(heights) - 1)
-            lo = int(np.floor(rank))
-            hi = int(np.ceil(rank))
-            frac = rank - lo
-            return heights[lo] * (1.0 - frac) + heights[hi] * frac
-        return heights[2]
-
-
 class StreamingQuantiles:
     """Vectorized streaming quantile estimates over a fixed log-spaced grid.
 
-    The P² estimator (:class:`P2Quantile`) updates five markers *per
-    observation* in Python — at a million jobs that inner loop dominates the
-    streaming engine's aggregation time.  This estimator instead folds whole
-    batches into a fixed histogram (``np.searchsorted`` + ``np.bincount``),
-    making the update cost one vectorized pass per flushed chunk.  Because
-    bin counts are order-independent, the estimates are *exactly* invariant
-    to chunking and flush batching (P² was only deterministic in insertion
-    order), and the histogram pickles for checkpoint/resume.
+    Whole batches fold into a fixed histogram (``np.searchsorted`` +
+    ``np.bincount``), so the update cost is one vectorized pass per batch
+    instead of per-observation Python work.  Because bin counts are
+    order-independent, the estimates are *exactly* invariant to chunking and
+    flush batching, and the histogram pickles for checkpoint/resume.
 
     The grid spans ``[lo, hi]`` with geometrically spaced edges — with the
     default 8192 bins over [1e-3, 1e7] the relative resolution is ~0.3%,

@@ -54,9 +54,8 @@ class MultiPolicyRunner:
         engine's auto-built dataset is shared by all of them, so every policy
         sees identical intensities — the paper's "identical conditions"
         methodology.  ``kernel=`` rides along like any engine knob: a fused
-        sweep can run every policy on the ``auto``/``vector``/``scalar``/
-        ``compiled`` tier, and :meth:`kernel_stats` surfaces the per-policy
-        telemetry.
+        sweep can run every policy on the ``vector`` or the ``scalar``
+        kernel, and :meth:`kernel_stats` surfaces the per-policy telemetry.
     chunk_size:
         Jobs per shared chunk (results are chunk-size-invariant).
     collect:

@@ -110,19 +110,16 @@ class _SimulatorBase:
         Safety limit on scheduling rounds (guards against policies that defer
         forever).
     kernel:
-        Event-kernel flavour for the array engines.  ``"auto"`` (resolve
-        ``"compiled"`` when numba is importable, ``"vector"`` otherwise);
-        ``"vector"`` (default) enables the batched clean-window path of
-        :mod:`repro.cluster.events` plus binding-point segmentation;
-        ``"compiled"`` additionally routes contended residues through the
-        flat-array kernel of :mod:`repro.cluster._kernel_compiled`
-        (numba-jitted when available, interpreted otherwise);
-        ``"scalar"`` forces the classic event-at-a-time reference loop
-        everywhere.  All flavours are decision-identical (the differential
-        harness compares their digests three ways); the scalar kernel
-        exists as the testing reference and benchmark baseline.  The
-        object-world :class:`Simulator` ignores it.  The resolved choice is
-        surfaced as ``result.kernel_stats`` telemetry.
+        Event-kernel flavour for the array engines.  ``"vector"`` (default,
+        the production kernel) runs the batched clean-window path of
+        :mod:`repro.cluster.events` with binding-point segmentation, then
+        the release-heap conveyor, then a Python replay of whatever is
+        left; ``"scalar"`` forces the classic event-at-a-time reference
+        loop everywhere.  The two are decision-identical (the differential
+        harness compares their digests); the scalar kernel exists as the
+        testing reference and benchmark baseline.  The object-world
+        :class:`Simulator` ignores it.  The choice is surfaced as
+        ``result.kernel_stats`` telemetry.
     chaos:
         Optional chaos timeline: a :class:`~repro.cluster.timeline.ChaosSpec`,
         a registry name (``"region-outage"``, …) or a ``field=value,...``
@@ -184,15 +181,8 @@ class _SimulatorBase:
         self.delay_tolerance = ensure_non_negative(delay_tolerance, "delay_tolerance")
         self.latency = latency if latency is not None else TransferLatencyModel(self.regions)
         self.max_rounds = int(max_rounds)
-        if kernel not in ("auto", "vector", "scalar", "compiled"):
-            raise ValueError(
-                "kernel must be 'auto', 'vector', 'scalar' or 'compiled', "
-                f"got {kernel!r}"
-            )
-        if kernel == "auto":
-            from . import _kernel_compiled
-
-            kernel = "compiled" if _kernel_compiled.available() else "vector"
+        if kernel not in ("vector", "scalar"):
+            raise ValueError(f"kernel must be 'vector' or 'scalar', got {kernel!r}")
         self.kernel = kernel
 
         if isinstance(servers_per_region, Mapping):
@@ -284,10 +274,10 @@ class _SimulatorBase:
         """Expose the event-kernel telemetry on the result.
 
         ``kernel_stats`` records which path every window event took (clean
-        vectorized segment, Python replay, flat/compiled replay), how many
-        binding-point splits fired and the lazy jit compile time — so
-        vectorization coverage is observable instead of inferred from wall
-        time.  See :class:`repro.cluster.events.KernelStats`.
+        vectorized segment, conveyor, Python replay) and how many
+        binding-point splits fired — so vectorization coverage is
+        observable instead of inferred from wall time.  See
+        :class:`repro.cluster.events.KernelStats`.
         """
         payload = stats.as_dict()
         payload["kernel"] = self.kernel
@@ -562,7 +552,6 @@ class BatchSimulator(_SimulatorBase):
         events = EventQueue()
         makespan = 0.0
         use_fast = self.kernel != "scalar"
-        compiled = self.kernel == "compiled"
         kernel_stats = KernelStats()
         tl = self._timeline
         tl_pos = 0
@@ -583,7 +572,6 @@ class BatchSimulator(_SimulatorBase):
                 queues=queues,
                 finished=None,
                 use_fast=use_fast,
-                compiled=compiled,
                 stats=kernel_stats,
             )
             if span > makespan:

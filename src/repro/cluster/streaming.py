@@ -116,11 +116,12 @@ def atomic_pickle_dump(path, payload) -> None:
 #: ``timeline_pos``, the job pool grew an ``evictions`` state column, and
 #: the checkpoint config records ``chaos``/``chaos_seed`` so a resume
 #: rebuilds the identical :class:`~repro.cluster.timeline.ClusterTimeline`.
-#: Format 4 (kernel tiers): :class:`EngineState` carries the cumulative
+#: Format 4 (kernel telemetry): :class:`EngineState` carries the cumulative
 #: :class:`~repro.cluster.events.KernelStats` telemetry so a resumed run
-#: keeps counting, and the ``kernel`` config value may name any of the four
-#: tiers (``auto``/``vector``/``scalar``/``compiled``) — resume may switch
-#: kernels freely, digests are tier-invariant.
+#: keeps counting, and resume may switch between the ``vector`` and
+#: ``scalar`` kernels (full-collect digests agree across them).  Files saved
+#: with a since-removed ``kernel`` value resume with the ``kernel="vector"``
+#: override.
 CHECKPOINT_FORMAT = 4
 
 #: Per-job *data* columns of the slot pool (written once at ingest).
@@ -539,9 +540,13 @@ class StreamResult:
         makespan and quantile estimates, and excludes wall-clock measurements
         (decision/round times) and the reservoir sample.  Because the
         accumulators are exact and order-independent, the digest is invariant
-        to chunk size, kernel tier, *and any sharded partition of the job
-        stream* merged through the fabric — the distributed differential gate
-        asserts equality against the single-box fused run.
+        to chunk size *and any sharded partition of the job stream* merged
+        through the fabric — the distributed differential gate asserts
+        equality against the single-box fused run.  It is not invariant to
+        the event kernel: the ``vector`` and ``scalar`` kernels sum busy
+        server-seconds in different float orders, so region utilization (and
+        with it the digest) may differ in the last bits between them; every
+        other hashed field is identical.
         """
         stats = self.stats
         quantiles = stats.quantiles
@@ -1037,7 +1042,7 @@ class StreamingSimulator(_SimulatorBase):
                 f"{path} is a format-{found} streaming checkpoint; this version "
                 f"reads format {CHECKPOINT_FORMAT} only.  Checkpoint layouts "
                 "changed incompatibly (format 2: array event queue, format 3: "
-                "chaos & elasticity state, format 4: kernel-tier telemetry), "
+                "chaos & elasticity state, format 4: kernel telemetry), "
                 "so older files cannot be resumed here — re-run the "
                 "simulation, or resume the checkpoint with the code version "
                 "that wrote it (see README 'Streaming engine' for the "
@@ -1062,11 +1067,12 @@ class StreamingSimulator(_SimulatorBase):
         and intensities (checkpoints store neither); ``overrides`` may adjust
         non-semantic knobs only — ``chunk_size`` (results are chunk-size-
         invariant, so resuming with a different chunking is legal),
-        ``max_rounds`` and ``kernel`` (all kernel tiers —
-        ``auto``/``vector``/``scalar``/``compiled`` — are digest-identical
-        and emit the canonical ``(when, region, seq)`` finished order, so a
-        resume may switch tiers freely; the differential harness pins
-        cross-kernel resume equality).  Semantic configuration (servers,
+        ``max_rounds`` and ``kernel`` (``vector`` and ``scalar`` make the
+        same decisions and emit the canonical ``(when, region, seq)``
+        finished order, so a resume may switch kernels; the differential
+        harness pins cross-kernel resume equality of full-collect digests).
+        A checkpoint saved with a since-removed ``kernel`` value resumes
+        with ``kernel="vector"``.  Semantic configuration (servers,
         tolerance, interval, …) is pinned by the restored state: the pickled
         free/committed server counts and round clock reflect the original
         settings, so changing them mid-run would silently corrupt the
@@ -1123,7 +1129,6 @@ class StreamingSimulator(_SimulatorBase):
             queues=state.queues,
             finished=state.finished,
             use_fast=self.kernel != "scalar",
-            compiled=self.kernel == "compiled",
             stats=state.kernel_stats,
         )
         if makespan > state.makespan:

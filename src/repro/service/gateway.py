@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.cluster.metrics import P2Quantile
+from repro.cluster.metrics import StreamingQuantiles
 from repro.service.clock import Clock, SimClock
 from repro.traces.stream import JobChunk
 
@@ -155,9 +155,10 @@ class AdmissionGateway:
         self._batches = 0
         self._ticks = 0
         self._checkpoints = 0
-        self._latency_q = {q: P2Quantile(q) for q in (0.5, 0.95, 0.99)}
+        # Latencies in seconds: the grid spans 1 µs .. ~3 h so sub-millisecond
+        # decisions are resolved rather than clamped into the lowest bin.
+        self._latency_q = StreamingQuantiles((0.5, 0.95, 0.99), lo=1e-6, hi=1e4)
         self._latency_total = 0.0
-        self._latency_max = 0.0
         self._first_submit: float | None = None
         self._last_decide: float | None = None
 
@@ -276,10 +277,8 @@ class AdmissionGateway:
 
     def stats(self) -> GatewayStats:
         """Snapshot the admission counters (cheap; safe to call any time)."""
-        quantile = {
-            q: (tracker.value() if self._decided else 0.0)
-            for q, tracker in self._latency_q.items()
-        }
+        latency = self._latency_q
+        quantile = latency.values() if self._decided else dict.fromkeys(latency.qs, 0.0)
         busy = 0.0
         if self._first_submit is not None and self._last_decide is not None:
             busy = max(0.0, self._last_decide - self._first_submit)
@@ -295,7 +294,7 @@ class AdmissionGateway:
             latency_p95_s=quantile[0.95],
             latency_p99_s=quantile[0.99],
             latency_mean_s=self._latency_total / self._decided if self._decided else 0.0,
-            latency_max_s=self._latency_max,
+            latency_max_s=latency.max if self._decided else 0.0,
             busy_wall_s=busy,
         )
 
@@ -376,7 +375,7 @@ class AdmissionGateway:
 
     def _resolve(self, decisions) -> int:
         resolved_at = time.monotonic()
-        count = 0
+        latencies = []
         for job_id, region, decided_at in decisions.items():
             waiter = self._waiters.pop(job_id, None)
             if waiter is None:
@@ -387,15 +386,13 @@ class AdmissionGateway:
             decision = PlacementDecision(job_id, region, decided_at, latency)
             if not future.done():
                 future.set_result(decision)
-            count += 1
-            self._decided += 1
+            latencies.append(latency)
             self._latency_total += latency
-            self._latency_max = max(self._latency_max, latency)
-            for tracker in self._latency_q.values():
-                tracker.add(latency)
-        if count:
+        if latencies:
+            self._decided += len(latencies)
+            self._latency_q.add_many(latencies)
             self._last_decide = resolved_at
-        return count
+        return len(latencies)
 
     def _fail_waiters(self, error: BaseException) -> None:
         for future, _submitted_at in self._waiters.values():

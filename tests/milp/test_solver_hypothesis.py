@@ -9,7 +9,8 @@ cases the WaterWise rounds actually produce.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import optimize
 
 from repro.milp.presolve import presolve
 from repro.milp.problem import StandardForm
@@ -49,8 +50,41 @@ def lp_instances(draw, allow_eq=True, integer=False):
     )
 
 
+def _scipy_reference(form: StandardForm):
+    """SciPy/HiGHS reference ``(status, objective)`` for ``form``.
+
+    :func:`solve_form_scipy` snaps the integer columns of a mixed-integer
+    answer to the nearest integers but keeps HiGHS's continuous columns,
+    which were computed for the unsnapped values.  Inside HiGHS's
+    integrality tolerance that point can miss an equality by ~1e-6 and
+    undercut the true optimum by as much.  So the continuous columns are
+    re-solved (``linprog``) with the snapped integers fixed, and that LP's
+    objective is the reference.
+    """
+    status, x, objective = solve_form_scipy(form)[:3]
+    integer = form.integrality
+    if status is not SolveStatus.OPTIMAL or not integer.any() or integer.all():
+        return status, objective
+    lower = np.where(integer, x, form.lower)
+    upper = np.where(integer, x, form.upper)
+    polished = optimize.linprog(
+        form.c,
+        A_ub=form.a_ub if form.a_ub.shape[0] else None,
+        b_ub=form.b_ub if form.a_ub.shape[0] else None,
+        A_eq=form.a_eq if form.a_eq.shape[0] else None,
+        b_eq=form.b_eq if form.a_eq.shape[0] else None,
+        bounds=list(zip(lower, upper)),
+        method="highs",
+    )
+    if polished.status != 0:
+        # No feasible continuous completion for the snapped integers: keep
+        # HiGHS's own objective (the comparison is then as strict as before).
+        return status, objective
+    return status, form.objective_value(polished.x)
+
+
 def _assert_backends_agree(form: StandardForm):
-    reference = solve_form_scipy(form)
+    reference = _scipy_reference(form)
     if reference[0] is SolveStatus.ERROR:
         # HiGHS occasionally reports integer-infeasible equality systems as
         # "other" rather than "infeasible"; there is no reference answer to
@@ -60,7 +94,7 @@ def _assert_backends_agree(form: StandardForm):
     native = solve_standard_form(form, solver="native")
     assert native[0] == reference[0], (native[0], reference[0])
     if reference[0] is SolveStatus.OPTIMAL:
-        assert native[2] == pytest.approx(reference[2], abs=1e-6)
+        assert native[2] == pytest.approx(reference[1], abs=1e-6)
         x = native[1]
         # The native point must satisfy the original, unreduced problem.
         assert np.all(x >= form.lower - 1e-6) and np.all(x <= form.upper + 1e-6)
@@ -89,6 +123,15 @@ class TestRandomProblems:
 
     @settings(**_SETTINGS)
     @given(form=lp_instances(integer=True))
+    # HiGHS stops inside its integrality tolerance here: snapping x3 to 3
+    # leaves its x1 off the equality by 9.5e-7 and 1e-6 below the optimum.
+    @example(form=StandardForm(
+        variables=(), c=np.array([0.85, 1.32, 0.13, -2.08]), c0=0.0,
+        a_ub=np.zeros((0, 4)), b_ub=np.zeros(0),
+        a_eq=np.array([[-0.56, 1.25, -1.41, -1.13]]), b_eq=np.array([-0.68]),
+        lower=np.zeros(4), upper=np.array([1.0, 4.0, 4.0, 3.0]),
+        integrality=np.array([False, False, False, True]), maximize=False,
+    ))
     def test_random_milps_agree_across_backends(self, form):
         _assert_backends_agree(form)
 

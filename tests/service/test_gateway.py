@@ -7,8 +7,11 @@ checkpointing, and the latency/throughput counters.
 """
 
 import asyncio
+import itertools
 import pickle
+import types
 
+import numpy as np
 import pytest
 
 from repro.cluster import StreamingSimulator
@@ -72,6 +75,50 @@ class TestRecordedMode:
         assert all(d.region in regions for d in decisions)
         # decided_at is the committing round's simulation time.
         assert all(d.decided_at >= 0.0 for d in decisions)
+
+    @pytest.mark.parametrize("batches", [2, 8])
+    def test_latency_quantiles_track_order_statistics(
+        self, source, dataset, batches, monkeypatch
+    ):
+        # The gateway's wall clock steps 10 µs per reading, so every latency
+        # is sub-millisecond.  200 decisions stay in the estimator's exact
+        # mode: the reported quantiles are the latencies' exact quantiles.
+        # 800 go through its histogram, whose estimate must sit on the
+        # nearest-rank order statistic within bin resolution (a grid that
+        # started at 1 ms would clamp every one of them).
+        from repro.service import gateway as gateway_module
+
+        readings = itertools.count()
+        monkeypatch.setattr(
+            gateway_module, "time",
+            types.SimpleNamespace(monotonic=lambda: 10e-6 * next(readings)),
+        )
+
+        async def scenario():
+            engine = StreamingSimulator(
+                source, make_scheduler("baseline"), dataset=dataset,
+                servers_per_region=8, chunk_size=64, collect="aggregate",
+            )
+            gateway = await AdmissionGateway(engine).start()
+            futures = []
+            for batch in range(batches):
+                futures.extend(
+                    await gateway.submit_nowait(_jobs(engine, 100, start_id=100 * batch))
+                )
+            await gateway.close()
+            return gateway.stats(), [future.result().latency_s for future in futures]
+
+        stats, latencies = asyncio.run(scenario())
+        assert stats.decided == len(latencies) == 100 * batches
+        assert 0.0 < max(latencies) < 1e-3
+        for q, got in ((0.5, stats.latency_p50_s), (0.95, stats.latency_p95_s),
+                       (0.99, stats.latency_p99_s)):
+            if batches == 2:
+                assert got == np.quantile(latencies, q), q
+            else:
+                want = np.quantile(latencies, q, method="higher")
+                assert got == pytest.approx(want, rel=3e-3), q
+        assert stats.latency_max_s == max(latencies)
 
     def test_job_objects_are_columnized(self, source, dataset):
         async def scenario():

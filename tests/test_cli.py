@@ -85,6 +85,28 @@ class TestCommands:
         # Identical tables: totals and savings agree digit for digit.
         assert batch_out == scalar_out
 
+    @pytest.mark.parametrize("engine", ["batch", "fused"])
+    def test_simulate_kernels_print_identical_tables(self, capsys, engine):
+        # 90% target utilization under bursts: queues form, so the vector
+        # kernel's clean, conveyor and replay paths all run.
+        common = [
+            "simulate", "--policies", "baseline", "round-robin", "--scenario",
+            "bursty", "--jobs-per-hour", "300", "--hours", "3", "--seed", "4",
+            "--utilization", "0.9", "--engine", engine,
+        ]
+        assert main(common + ["--kernel", "scalar"]) == 0
+        scalar_out = capsys.readouterr().out
+        assert main(common + ["--kernel", "vector"]) == 0
+        vector_out = capsys.readouterr().out
+        assert vector_out == scalar_out
+
+    @pytest.mark.parametrize("kernel", ["compiled", "auto"])
+    def test_removed_kernel_names_are_usage_errors(self, capsys, kernel):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--engine", "batch", "--kernel", kernel])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestStreamingCli:
     def test_simulate_stream_matches_batch_tables(self, capsys):

@@ -5,6 +5,12 @@ largest standard workload) through both engines under identical settings,
 verifies that they produce identical scheduling decisions and footprints
 (within 1e-9 relative), and reports throughput and speedup per policy.
 
+``BatchSimulator`` is the one-shot front of the streaming engine, so its
+time is a whole streamed run over the materialized trace: 4096-job chunks
+copied into the slot pool, the scheduling rounds and event kernel, the
+per-chunk flush and footprint integration of finished jobs, and the final
+merge of their columns into a job-id-ordered ``BatchResult``.
+
 Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_batch_engine.py              # 10k jobs

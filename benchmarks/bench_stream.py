@@ -1,9 +1,10 @@
 """Streaming-engine benchmark: peak RSS + wall time vs the one-shot engine.
 
 Each case simulates a diurnal scenario sized to ``--sizes`` jobs (default
-10k / 100k / 1M) twice: through the one-shot :class:`BatchSimulator`
-(materialized trace, O(n) columns) and through the bounded-memory
-:class:`StreamingSimulator` in aggregate mode.  Every measurement runs in a
+10k / 100k / 1M) twice, through the same round loop: once through the
+one-shot :class:`BatchSimulator` front (materialized trace, full per-job
+result columns: O(n) memory) and once through :class:`StreamingSimulator`
+in aggregate mode (bounded memory).  Every measurement runs in a
 fresh **subprocess** so ``ru_maxrss`` reports that case's true peak RSS, not
 the parent's high-water mark.  One-shot cases above ``--max-oneshot-jobs``
 are skipped (that is the regime the streaming engine exists for).

@@ -424,8 +424,8 @@ def _point_chaos(point: SweepPoint) -> str | None:
 
 def _run_point(point: SweepPoint) -> SweepOutcome:
     """Simulate one sweep point (module-level so process pools can pickle it)."""
-    from repro.cluster.simulator import BatchSimulator, Simulator
-    from repro.cluster.streaming import StreamingSimulator
+    from repro.cluster.simulator import Simulator
+    from repro.cluster.streaming import BatchSimulator, StreamingSimulator
     from repro.schedulers.registry import make_scheduler
 
     source = _point_source(point)

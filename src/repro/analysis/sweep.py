@@ -15,8 +15,8 @@ from repro.cluster.capacity import servers_for_target_utilization
 from repro.cluster.interface import Scheduler
 from repro.cluster.metrics import SimulationResult
 from repro.cluster.multi import MultiPolicyRunner
-from repro.cluster.simulator import BatchSimulator, Simulator
-from repro.cluster.streaming import StreamingSimulator
+from repro.cluster.simulator import Simulator
+from repro.cluster.streaming import BatchSimulator, StreamingSimulator
 from repro.traces.stream import TraceSource, TraceView
 from repro.core.config import WaterWiseConfig
 from repro.core.waterwise import WaterWiseScheduler

@@ -10,14 +10,17 @@ logic through trace simulation.  This subpackage is that simulation substrate:
 * :mod:`repro.cluster.footprint` — vectorized carbon/water footprint
   matrices for a batch of jobs across regions (what the policies optimize),
 * :mod:`repro.cluster.datacenter` — the per-region capacity/queue model,
-* :mod:`repro.cluster.simulator` — the discrete-event trace-driven simulators
-  (the scalar reference :class:`Simulator` and the vectorized
-  :class:`BatchSimulator`),
-* :mod:`repro.cluster.batch` — columnar job/result containers for the batch
+* :mod:`repro.cluster.simulator` — the scalar reference simulator
+  :class:`Simulator` and the configuration it shares with the array engine,
+* :mod:`repro.cluster.streaming` — the array engine
+  (:class:`StreamingSimulator`) and its one-shot front over a materialized
+  trace (:class:`BatchSimulator`); batch, stream, fused and live-admission
+  runs share its one round loop,
+* :mod:`repro.cluster.batch` — columnar job/result containers for the array
   engine (:class:`JobArrays`, :class:`BatchSchedulingContext`,
   :class:`BatchResult`),
-* :mod:`repro.cluster.events` — the array-batched event kernel both array
-  engines drive their discrete-event core through,
+* :mod:`repro.cluster.events` — the array-batched event kernel the array
+  engine drives its discrete-event core through,
 * :mod:`repro.cluster.multi` — the fused multi-policy runner (one workload
   pass, K policies in lockstep),
 * :mod:`repro.cluster.timeline` — the chaos & elasticity engine: seeded,
@@ -36,9 +39,10 @@ from repro.cluster.interface import Scheduler, SchedulerDecision, SchedulingCont
 from repro.cluster.events import EventQueue
 from repro.cluster.metrics import JobOutcome, RunningJobStats, SimulationResult
 from repro.cluster.multi import MultiPolicyRunner
-from repro.cluster.simulator import BatchSimulator, Simulator
+from repro.cluster.simulator import Simulator
 from repro.cluster.streaming import (
     AdmissionDecisions,
+    BatchSimulator,
     EngineState,
     StreamingSimulator,
     StreamResult,

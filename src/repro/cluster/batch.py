@@ -1,13 +1,15 @@
-"""Columnar (structure-of-arrays) containers for the batch simulation engine.
+"""Columnar (structure-of-arrays) containers for the array simulation engine.
 
 The scalar :class:`~repro.cluster.simulator.Simulator` walks one
 :class:`~repro.traces.job.Job` object at a time, which is convenient but slow:
 at 10k+ jobs the Python attribute access, per-job dataclass construction and
-per-job footprint integration dominate the runtime.  The batch engine instead
-keeps one NumPy array per job attribute and operates on whole scheduling
-batches at once:
+per-job footprint integration dominate the runtime.  The array engine
+(:class:`~repro.cluster.streaming.StreamingSimulator`) instead keeps one
+NumPy array per job attribute and operates on whole scheduling batches at
+once:
 
-* :class:`JobArrays` — a read-only columnar view of a trace, with home
+* :class:`JobArrays` — a read-only columnar view of jobs (the engine's slot
+  pool, or a whole trace via :meth:`JobArrays.from_trace`), with home
   regions resolved to integer codes against the simulated region order;
 * :class:`BatchSchedulingContext` — the array-world counterpart of
   :class:`~repro.cluster.interface.SchedulingContext`, handed to vectorized
@@ -56,11 +58,11 @@ def resolve_fast_decision(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validate a fast path's round result; returns ``(choice, commit_positions)``.
 
-    Shared by the one-shot :class:`~repro.cluster.simulator.BatchSimulator`
-    and the :class:`~repro.cluster.streaming.StreamingSimulator`, whose
-    decision paths must stay operation-for-operation identical (the
-    differential harness enforces digest equality between them).  ``choice``
-    holds one region code per batch position (:data:`DEFER` postpones);
+    Called by the :class:`~repro.cluster.streaming.StreamingSimulator`
+    round loop, which every array run (one-shot
+    :class:`~repro.cluster.streaming.BatchSimulator`, stream, fused,
+    admission) goes through.  ``choice`` holds one region code per batch
+    position (:data:`DEFER` postpones);
     ``commit_positions`` lists the assigned positions in commit order — a
     custom commit order must cover exactly the assigned positions, because
     commit order decides FIFO tie-breaking and a silently dropped or

@@ -35,13 +35,12 @@ _SECONDS_PER_HOUR = 3600.0
 class RunningFootprintTotals:
     """Carry-over footprint accumulator for the streaming engine.
 
-    The one-shot batch engine integrates every job's footprint in a single
-    :meth:`FootprintCalculator.integrate_batch` pass after the event loop
-    drains.  The streaming engine instead integrates each chunk of *finished*
-    jobs as it retires them (the same prefix-sum kernel, so the per-job
-    values are identical) and folds the results into this accumulator:
-    per-region and overall totals survive across chunk boundaries while the
-    per-job columns are released.  Picklable, so checkpoints carry it.
+    The streaming engine integrates each chunk of *finished* jobs as it
+    retires them (:meth:`FootprintCalculator.integrate_batch`, a prefix-sum
+    kernel whose per-job values do not depend on the chunking); in aggregate
+    mode it folds the results into this accumulator: per-region and overall
+    totals survive across chunk boundaries while the per-job columns are
+    released.  Picklable, so checkpoints carry it.
 
     Per-region sums accumulate in :class:`~repro.cluster.metrics.ExactSum`,
     so every total is exactly invariant to chunking and — via :meth:`merge` —

@@ -1,10 +1,7 @@
-"""Streaming horizon engine: bounded-memory, checkpointable batch simulation.
+"""The array simulation engine: bounded-memory, checkpointable, chunk-fed.
 
-:class:`~repro.cluster.simulator.BatchSimulator` materializes the whole trace
-up front — ``JobArrays`` and ``BatchResult`` both allocate O(n_jobs) columns —
-so one-shot runs are memory-bound near tens of thousands of jobs.
-:class:`StreamingSimulator` runs the *same* discrete-event simulation against
-a chunked :class:`~repro.traces.stream.TraceSource`, holding only
+:class:`StreamingSimulator` runs the trace-driven discrete-event simulation
+against a chunked :class:`~repro.traces.stream.TraceSource`, holding only
 
 * the current chunk of not-yet-arrived jobs,
 * the in-flight jobs (pending, queued or executing), and
@@ -19,22 +16,30 @@ executions, accumulators), so a run can be checkpointed to disk at any chunk
 boundary and resumed later — bit-identically, which the differential harness
 enforces for every registered scheduler.
 
-Decision equivalence with the one-shot engine rests on one safety rule: a
-scheduling round at time *T* only runs once every arrival ≤ *T* has been
-ingested.  Chunks are time-ordered, so after ingesting a chunk whose last
+It is the only array round loop.  :class:`BatchSimulator` is its one-shot
+front over a materialized trace (a :class:`~repro.traces.stream.TraceView`
+collected with ``collect="full"``), :class:`~repro.cluster.multi.MultiPolicyRunner`
+steps one engine per policy over a shared chunk stream, and
+:meth:`StreamingSimulator.admit` feeds it live submissions.  The scalar
+:class:`~repro.cluster.simulator.Simulator` is the reference the
+differential harness holds it to.
+
+Chunking never changes a decision because of one safety rule: a scheduling
+round at time *T* only runs once every arrival ≤ *T* has been ingested.
+Chunks are time-ordered (:meth:`~StreamingSimulator.advance` rejects
+non-finite or decreasing arrivals), so after ingesting a chunk whose last
 arrival is the *watermark* ``A``, every round with ``T < A`` is safe; rounds
 at or beyond the watermark wait for the next chunk (or :meth:`finalize`).
-Everything else — round cadence, batch order, commit order, event
-tie-breaking — replicates :class:`BatchSimulator` operation for operation,
-and the scheduler object itself (decision-controller history, slack manager,
+The scheduler object itself (decision-controller history, slack manager,
 solver-session warm bases) simply persists across chunk boundaries.
 
 Results come in two shapes, chosen with ``collect``:
 
 * ``"full"`` (default) — per-job columns are retained and :meth:`finalize`
-  returns a regular :class:`~repro.cluster.batch.BatchResult`, byte-identical
-  (``BatchResult.digest``) to the one-shot engine's.  Memory is O(trace) for
-  the *result* only; the simulation state stays bounded.
+  returns a regular :class:`~repro.cluster.batch.BatchResult`, the result
+  :class:`BatchSimulator` returns, so their ``BatchResult.digest`` values
+  agree by construction.  Memory is O(trace) for the *result* only; the
+  simulation state stays bounded.
 * ``"aggregate"`` — finished jobs fold into
   :class:`~repro.cluster.metrics.RunningJobStats` (totals, means, streaming
   histogram quantiles, seeded reservoir sample) and
@@ -70,10 +75,11 @@ from repro.cluster.simulator import _SimulatorBase
 from repro.cluster.timeline import apply_capacity_step
 from repro.regions.latency import TransferLatencyModel
 from repro.traces.job import Job
-from repro.traces.stream import JobChunk
+from repro.traces.stream import JobChunk, TraceView
 
 __all__ = [
     "AdmissionDecisions",
+    "BatchSimulator",
     "EngineState",
     "StreamResult",
     "StreamingSimulator",
@@ -271,6 +277,15 @@ class _WorkloadView:
         return self._names[self._codes[index]]
 
 
+#: Pool columns a flush hands to the collectors beside the integrated
+#: ``carbon``/``water``; ``job_id`` comes first because the full collector
+#: sorts by it.
+_FINISHED_COLUMNS = (
+    "job_id", "arrival", "considered", "assigned", "ready", "start", "finish",
+    "exec_real", "transfer", "deferrals", "evictions", "home", "region", "workload",
+)
+
+
 class _FullCollector:
     """Retain finished-job columns and finalize into a :class:`BatchResult`."""
 
@@ -283,42 +298,42 @@ class _FullCollector:
         self._parts.append(rows)
 
     def finalize(self, engine: "StreamingSimulator", state: EngineState) -> BatchResult:
-        if self._parts:
-            merged = {
-                key: np.concatenate([part[key] for part in self._parts])
-                for key in self._parts[0]
-            }
-        else:
-            int_keys = ("job_id", "home", "region", "workload", "deferrals", "evictions")
-            merged = {
-                key: np.zeros(0, dtype=np.int64 if key in int_keys else float)
-                for key in ("job_id", "arrival", "considered", "assigned", "ready",
-                            "start", "finish", "exec_real", "transfer", "carbon",
-                            "water", "deferrals", "evictions", "home", "region",
-                            "workload")
-            }
-        order = np.argsort(merged["job_id"], kind="stable")
+        # Merge and sort one column at a time, dropping its parts as soon as
+        # it is merged: the live data stays at one copy of the columns plus
+        # two, where concatenating every column first held three copies.
+        # The sorted columns replace the parts, so finalizing again returns
+        # an equal result.
+        parts = self._parts or [engine._finished_rows(np.zeros(0, dtype=np.int64))]
+        merged: dict[str, np.ndarray] = {}
+        order = None
+        for key in list(parts[0]):
+            column = np.concatenate([part.pop(key) for part in parts])
+            if order is None:
+                order = np.argsort(column, kind="stable")
+            merged[key] = column[order]
+            del column
+        self._parts = [merged]
         names = state.workload_names
-        result = BatchResult(
+        return BatchResult(
             scheduler_name=engine.scheduler.name,
             trace_name=engine.trace_name,
             region_keys=state.region_keys,
-            job_id=merged["job_id"][order],
-            workloads=[names[code] for code in merged["workload"][order]],
-            home_idx=merged["home"][order],
-            region_idx=merged["region"][order],
-            arrival=merged["arrival"][order],
-            considered=merged["considered"][order],
-            assigned=merged["assigned"][order],
-            ready=merged["ready"][order],
-            start=merged["start"][order],
-            finish=merged["finish"][order],
-            execution_time=merged["exec_real"][order],
-            transfer_latency=merged["transfer"][order],
-            carbon_g=merged["carbon"][order],
-            water_l=merged["water"][order],
-            deferrals=merged["deferrals"][order],
-            evictions=merged["evictions"][order],
+            job_id=merged["job_id"],
+            workloads=[names[code] for code in merged["workload"]],
+            home_idx=merged["home"],
+            region_idx=merged["region"],
+            arrival=merged["arrival"],
+            considered=merged["considered"],
+            assigned=merged["assigned"],
+            ready=merged["ready"],
+            start=merged["start"],
+            finish=merged["finish"],
+            execution_time=merged["exec_real"],
+            transfer_latency=merged["transfer"],
+            carbon_g=merged["carbon"],
+            water_l=merged["water"],
+            deferrals=merged["deferrals"],
+            evictions=merged["evictions"],
             region_servers=engine.servers_by_region(),
             region_utilization=engine.region_utilization(state),
             makespan_s=state.makespan,
@@ -326,7 +341,6 @@ class _FullCollector:
             round_times_s=state.round_times,
             delay_tolerance=engine.delay_tolerance,
         )
-        return result
 
 
 class _AggregateCollector:
@@ -701,7 +715,12 @@ class StreamingSimulator(_SimulatorBase):
         # recycled; the cache is derived state (a pure function of the pool
         # columns), so it is deliberately not part of checkpoints.
         self._job_cache: dict[int, Job] = {}
-        # Transfer latency decomposition, as in BatchSimulator.
+        # Transfer latency split into a per-pair propagation term and a
+        # per-job serialization term (their sum equals
+        # ``TransferLatencyModel.transfer_time`` exactly).  Subclasses may
+        # override ``transfer_time`` with a non-additive formula, and
+        # duck-typed models only need ``transfer_time()``, so both get a
+        # per-job call in ``_commit_batch`` instead.
         self._transfer_decomposes = type(self.latency) is TransferLatencyModel
         if self._transfer_decomposes:
             self._propagation = self.latency.propagation_seconds(self.region_keys)
@@ -740,6 +759,11 @@ class StreamingSimulator(_SimulatorBase):
     def init_state(self) -> EngineState:
         """Fresh engine state; resets the scheduler (once per run, not per chunk)."""
         self.scheduler.reset()
+        # Both caches index into the state being replaced: workload codes
+        # point into its ``workload_names``, cached Jobs are keyed by its
+        # slots, and the new pool reuses those slot numbers.
+        self._workload_vocab_maps.clear()
+        self._job_cache.clear()
         n_regions = len(self.region_keys)
         servers = np.array(
             [self._servers[key] for key in self.region_keys], dtype=np.int64
@@ -884,11 +908,30 @@ class StreamingSimulator(_SimulatorBase):
         state = self.state
         n = chunk.n
         arrivals = np.asarray(chunk.arrival, dtype=float)
+        # No round ever reaches a NaN arrival (it compares false with every
+        # round time), so the final drain would tick forever; a decreasing
+        # arrival would be considered rounds late.  Both are rejected before
+        # any state changes.
+        bad = np.flatnonzero(~np.isfinite(arrivals))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(
+                f"job {int(chunk.job_id[i])} has a non-finite arrival time "
+                f"{arrivals[i]!r}"
+            )
         if float(arrivals[0]) < state.watermark - 1e-12:
             raise ValueError(
                 "chunk arrives out of order: first arrival "
                 f"{float(arrivals[0]):.3f}s is before the watermark "
                 f"{state.watermark:.3f}s"
+            )
+        back = np.flatnonzero(arrivals[1:] < arrivals[:-1])
+        if len(back):
+            i = int(back[0]) + 1
+            raise ValueError(
+                f"chunk arrives out of order: job {int(chunk.job_id[i])} "
+                f"arrives at {arrivals[i]:.3f}s, before the previous job's "
+                f"{arrivals[i - 1]:.3f}s"
             )
         remap = self._region_remap(chunk)
         home = remap[chunk.home_idx]
@@ -1135,10 +1178,12 @@ class StreamingSimulator(_SimulatorBase):
             state.makespan = makespan
 
     def _process_events_until(self, limit: float) -> None:
-        # Mirrors BatchSimulator.run's segmentation exactly: cut the window
-        # at each capacity breakpoint (capacity stays constant inside every
-        # kernel window, which keeps the clean-prefix proof valid under
-        # chaos), apply the capacity events, requeue any evicted slots.
+        # Cut the window at each capacity breakpoint so capacity is constant
+        # inside every kernel window (job events at exactly a breakpoint
+        # happen *before* the capacity change).  That keeps the clean-prefix
+        # proof valid under chaos: a drained region running over shrunken
+        # capacity shows up as a negative free count the proof rejects.
+        # Then apply the capacity events and requeue any evicted slots.
         state = self.state
         tl = self._timeline
         if tl is not None:
@@ -1179,9 +1224,9 @@ class StreamingSimulator(_SimulatorBase):
     def _next_timeline_event(self) -> float | None:
         """Next capacity breakpoint, or ``None`` when it cannot affect a job.
 
-        Mirrors the batch engine's wake rule: a capacity change only matters
-        while jobs are in flight (queued or executing), so trailing events on
-        an idle cluster never keep the drain loop alive.
+        A capacity change only matters while jobs are in flight (queued or
+        executing), so trailing events on an idle cluster never keep the
+        drain loop alive.
         """
         tl = self._timeline
         state = self.state
@@ -1313,39 +1358,22 @@ class StreamingSimulator(_SimulatorBase):
         state = self.state
         if not state.finished:
             return
-        pool = state.pool
-        idx = np.array(state.finished, dtype=np.int64)
-        region = pool["region"][idx].copy()
-        start = pool["start"][idx].copy()
-        exec_real = pool["exec_real"][idx].copy()
-        carbon, water = self.footprints.integrate_batch(
-            self.region_keys, region, start, exec_real, pool["energy_real"][idx]
-        )
-        state.collector.add(
-            {
-                "job_id": pool["job_id"][idx].copy(),
-                "arrival": pool["arrival"][idx].copy(),
-                "considered": pool["considered"][idx].copy(),
-                "assigned": pool["assigned"][idx].copy(),
-                "ready": pool["ready"][idx].copy(),
-                "start": start,
-                "finish": pool["finish"][idx].copy(),
-                "exec_real": exec_real,
-                "transfer": pool["transfer"][idx].copy(),
-                "deferrals": pool["deferrals"][idx].copy(),
-                "evictions": pool["evictions"][idx].copy(),
-                "home": pool["home"][idx].copy(),
-                "region": region,
-                "workload": pool["workload"][idx].copy(),
-                "carbon": carbon,
-                "water": water,
-            }
-        )
+        state.collector.add(self._finished_rows(np.array(state.finished, dtype=np.int64)))
         if self._job_cache:
             for slot in state.finished:
                 self._job_cache.pop(slot, None)
         state.free_slots.extend(state.finished)
         state.finished = []
+
+    def _finished_rows(self, idx: np.ndarray) -> dict[str, np.ndarray]:
+        """Result columns of the jobs in slots ``idx`` (indexing copies them)."""
+        pool = self.state.pool
+        rows = {name: pool[name][idx] for name in _FINISHED_COLUMNS}
+        rows["carbon"], rows["water"] = self.footprints.integrate_batch(
+            self.region_keys, rows["region"], rows["start"], rows["exec_real"],
+            pool["energy_real"][idx],
+        )
+        return rows
 
     # -- scheduling rounds ---------------------------------------------------------------
     def _pool_arrays(self) -> JobArrays:
@@ -1460,3 +1488,70 @@ class StreamingSimulator(_SimulatorBase):
         for job_id in decision.deferred:
             pool["deferrals"][slot_of[job_id]] += 1
         return decision_seconds
+
+
+class BatchSimulator(StreamingSimulator):
+    """One-shot array engine: replay a materialized trace into a :class:`BatchResult`.
+
+    The one-shot front of :class:`StreamingSimulator`: it wraps ``trace`` in
+    a :class:`~repro.traces.stream.TraceView`, retains every job's columns
+    (``collect="full"``) at the engine's default chunk size, and starts each
+    :meth:`run` from a fresh :meth:`init_state`.  It has no round loop of its
+    own, so its result is the streaming engine's by construction.
+
+    The engine is decision-equivalent to the scalar
+    :class:`~repro.cluster.simulator.Simulator`: identical executed regions,
+    start/finish times and deferral counts, and footprints equal to
+    floating-point rounding (≪ 1e-9 relative).  Event tie-breaking
+    replicates the scalar heap exactly — finishes before readies at equal
+    times, globally sequenced pushes — so even saturated FIFO queues drain
+    in the same order.  Policies without a vectorized fast path see ``Job``
+    objects rebuilt from the trace's columns, which carry no
+    :attr:`~repro.traces.job.Job.metadata`.
+
+    Construction parameters are those of
+    :class:`~repro.cluster.simulator.Simulator` (documented on
+    :class:`~repro.cluster.simulator._SimulatorBase`).
+    """
+
+    def __init__(
+        self,
+        trace,
+        scheduler,
+        dataset=None,
+        regions=None,
+        servers_per_region=20,
+        scheduling_interval_s: float = 300.0,
+        delay_tolerance: float = 0.25,
+        latency=None,
+        server=None,
+        include_embodied: bool = True,
+        seed_dataset_horizon_slack_h: int = 24,
+        max_rounds: int = 1_000_000,
+        kernel: str = "vector",
+        chaos=None,
+        chaos_seed: int = 0,
+    ) -> None:
+        super().__init__(
+            TraceView(trace),
+            scheduler,
+            dataset=dataset,
+            regions=regions,
+            servers_per_region=servers_per_region,
+            scheduling_interval_s=scheduling_interval_s,
+            delay_tolerance=delay_tolerance,
+            latency=latency,
+            server=server,
+            include_embodied=include_embodied,
+            seed_dataset_horizon_slack_h=seed_dataset_horizon_slack_h,
+            max_rounds=max_rounds,
+            collect="full",
+            kernel=kernel,
+            chaos=chaos,
+            chaos_seed=chaos_seed,
+        )
+
+    def run(self) -> BatchResult:
+        """Run the whole trace from a fresh state and return the columnar result."""
+        self.init_state()
+        return super().run()

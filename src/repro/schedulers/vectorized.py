@@ -1,11 +1,13 @@
 """Registry-dispatched vectorized fast paths for scheduling policies.
 
-The batch engine (:class:`~repro.cluster.simulator.BatchSimulator`) asks this
-registry for an array-world implementation of the policy under test.  A fast
-path receives a :class:`~repro.cluster.batch.BatchSchedulingContext` and
-returns one region code per batch job (``DEFER`` postpones the job to the
-next round) — no per-job ``Job`` objects, no assignment dictionaries.  A fast
-path may instead return a ``(choice, commit_order)`` tuple, where
+The array engine (:class:`~repro.cluster.streaming.StreamingSimulator`, and
+with it its one-shot front :class:`~repro.cluster.streaming.BatchSimulator`)
+asks this registry for an array-world implementation of the policy under
+test.  A fast path receives a
+:class:`~repro.cluster.batch.BatchSchedulingContext` and returns one region
+code per batch job (``DEFER`` postpones the job to the next round) — no
+per-job ``Job`` objects, no assignment dictionaries.  A fast path may
+instead return a ``(choice, commit_order)`` tuple, where
 ``commit_order`` lists the batch positions of the *assigned* jobs in the
 order their placements must be committed; this matters when the mirrored
 scalar policy hands out assignments in an order different from the batch
@@ -13,8 +15,9 @@ order (e.g. WaterWise's slack manager ranks jobs by urgency), because commit
 order decides FIFO tie-breaking in saturated queues.
 
 Policies without a registered fast path automatically fall back to their
-scalar :meth:`~repro.cluster.interface.Scheduler.schedule` method: the batch
-engine materializes the round's ``Job`` objects, builds the classic
+scalar :meth:`~repro.cluster.interface.Scheduler.schedule` method: the array
+engine rebuilds the round's ``Job`` objects from its columns (they carry no
+:attr:`~repro.traces.job.Job.metadata`), builds the classic
 :class:`~repro.cluster.interface.SchedulingContext` and validates the decision
 exactly like the scalar simulator, so *any* custom policy runs unchanged
 (just without the fast-path speedup for its decision step).

@@ -253,26 +253,20 @@ class TraceView(TraceSource):
     def materialize(self, name: str | None = None) -> Trace:
         return self.trace
 
-    def _codes(self) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]:
-        """Vocabularies + per-job code arrays, computed once (the trace is immutable)."""
-        cached = getattr(self, "_codes_cache", None)
+    def _vocabularies(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Region and workload vocabularies, computed once (the trace is immutable).
+
+        Every chunk shares them; the per-job codes are mapped chunk by chunk,
+        so no trace-sized code array outlives the chunk that needs it.
+        """
+        cached = getattr(self, "_vocab_cache", None)
         if cached is None:
             columns = self.trace.to_columns()
-            n = len(columns["job_id"])
-            homes = columns["home_region"]
-            workloads = columns["workload"]
-            region_keys = tuple(dict.fromkeys(homes))
-            workload_names = tuple(dict.fromkeys(workloads))
-            region_code = {key: i for i, key in enumerate(region_keys)}
-            workload_code = {name: i for i, name in enumerate(workload_names)}
-            home_idx = np.fromiter(
-                (region_code[h] for h in homes), dtype=np.int64, count=n
+            cached = (
+                tuple(dict.fromkeys(columns["home_region"])),
+                tuple(dict.fromkeys(columns["workload"])),
             )
-            workload_idx = np.fromiter(
-                (workload_code[w] for w in workloads), dtype=np.int64, count=n
-            )
-            cached = (region_keys, workload_names, home_idx, workload_idx)
-            self._codes_cache = cached
+            self._vocab_cache = cached
         return cached
 
     def iter_chunks(
@@ -280,7 +274,9 @@ class TraceView(TraceSource):
     ) -> Iterator[JobChunk]:
         columns = self.trace.to_columns()
         n = len(columns["job_id"])
-        region_keys, workload_names, home_idx, workload_idx = self._codes()
+        region_keys, workload_names = self._vocabularies()
+        region_code = {key: i for i, key in enumerate(region_keys)}.__getitem__
+        workload_code = {name: i for i, name in enumerate(workload_names)}.__getitem__
         start = int(skip_jobs)
         if start < 0:
             raise ValueError("skip_jobs must be >= 0")
@@ -298,8 +294,14 @@ class TraceView(TraceSource):
                 exec_real=columns["realized_execution_time"][start:stop],
                 energy_est=columns["energy_kwh"][start:stop],
                 energy_real=columns["realized_energy_kwh"][start:stop],
-                home_idx=home_idx[start:stop],
-                workload_idx=workload_idx[start:stop],
+                home_idx=np.fromiter(
+                    map(region_code, columns["home_region"][start:stop]),
+                    dtype=np.int64, count=stop - start,
+                ),
+                workload_idx=np.fromiter(
+                    map(workload_code, columns["workload"][start:stop]),
+                    dtype=np.int64, count=stop - start,
+                ),
                 package_gb=columns["package_gb"][start:stop],
                 servers=np.asarray(columns["servers_required"][start:stop], dtype=np.int64),
             )

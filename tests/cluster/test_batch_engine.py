@@ -9,7 +9,7 @@ counts) and produces footprints equal within 1e-9 relative.
 import numpy as np
 import pytest
 
-from repro.cluster import BatchSimulator, JobArrays, Simulator
+from repro.cluster import BatchSimulator, JobArrays, Simulator, StreamingSimulator
 from repro.schedulers import (
     BaselineScheduler,
     CarbonGreedyOptimalScheduler,
@@ -18,7 +18,7 @@ from repro.schedulers import (
     RoundRobinScheduler,
     has_fast_path,
 )
-from repro.traces import Trace
+from repro.traces import Trace, TraceView
 
 from ..equivalence import EQ_RTOL, assert_equivalent, run_both
 from .conftest import DeferOnceTestScheduler, FixedRegionTestScheduler, HomeRegionTestScheduler, make_job
@@ -244,3 +244,34 @@ class TestBatchResult:
             BatchSimulator(
                 trace, BaselineScheduler(), dataset=small_dataset, servers_per_region=0
             )
+
+    def test_non_finite_arrival_rejected_like_scalar_engine(self, small_dataset):
+        # Trace.from_columns does not check arrivals; the scalar engine fails
+        # building the Job, the array engine when it ingests the chunk.
+        columns = dict(Trace([make_job(0, 0.0), make_job(1, 60.0)]).to_columns())
+        columns["arrival_time"] = np.array([0.0, np.nan])
+        trace = Trace.from_columns(columns)
+        for engine_cls in (Simulator, BatchSimulator):
+            with pytest.raises(ValueError, match="arrival"):
+                engine_cls(trace, BaselineScheduler(), dataset=small_dataset).run()
+
+
+class TestOneShotFront:
+    @pytest.mark.parametrize("policy", ["baseline", "defer-once"])
+    def test_run_twice_on_one_instance(self, policy, small_dataset, small_trace):
+        engine = BatchSimulator(
+            small_trace, POLICY_FACTORIES[policy](), dataset=small_dataset,
+            servers_per_region=30,
+        )
+        first = engine.run()
+        assert engine.run().digest() == first.digest()
+
+    def test_second_finalize_after_full_collect_run(self, small_dataset, small_trace):
+        engine = StreamingSimulator(
+            TraceView(small_trace), BaselineScheduler(), dataset=small_dataset,
+            servers_per_region=30, collect="full",
+        )
+        first = engine.run()
+        second = engine.finalize()
+        assert second.num_jobs == first.num_jobs == len(small_trace)
+        assert second.digest() == first.digest()

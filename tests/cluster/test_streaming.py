@@ -6,6 +6,8 @@ mechanics: the init/advance/finalize lifecycle, bounded pool memory, the
 aggregate collectors, checkpoint round-trips and the error paths.
 """
 
+import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -17,6 +19,8 @@ from repro.cluster.footprint import RunningFootprintTotals
 from repro.schedulers import make_scheduler
 from repro.sustainability import ElectricityMapsLikeProvider
 from repro.traces.scenarios import scenario_source
+
+from .conftest import DeferOnceTestScheduler
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +107,55 @@ class TestLifecycle:
         engine.advance(chunks[1])
         with pytest.raises(ValueError, match="out of order"):
             engine.advance(chunks[0])
+
+    @pytest.mark.parametrize(
+        "arrivals, bad",
+        [([100.0, math.nan, 4000.0], 1), ([100.0, 4000.0, 50.0], 2)],
+        ids=["nan", "decreasing"],
+    )
+    def test_unorderable_chunk_arrivals_rejected(self, source, dataset, arrivals, bad):
+        # A NaN arrival used to make finalize() tick forever, and a
+        # decreasing one was considered rounds after it arrived.
+        chunk = next(iter(source.iter_chunks(3)))
+        chunk = dataclasses.replace(chunk, arrival=np.array(arrivals))
+        engine = _stream(source, dataset, policy="baseline")
+        engine.init_state()
+        with pytest.raises(ValueError, match=rf"job {int(chunk.job_id[bad])}\b"):
+            engine.advance(chunk)
+        assert engine.state.jobs_seen == 0
+
+    @pytest.mark.parametrize("collect", ["full", "aggregate"])
+    def test_init_state_after_run_matches_fresh_engine(self, source, dataset, collect):
+        # Full collect takes the baseline fast path; aggregate the scalar
+        # fallback rounds, which build Jobs from the workload vocabulary.
+        def engine():
+            scheduler = (
+                make_scheduler("baseline") if collect == "full" else DeferOnceTestScheduler()
+            )
+            return StreamingSimulator(
+                source, scheduler, dataset=dataset, servers_per_region=8,
+                chunk_size=50, collect=collect,
+            )
+
+        fresh = engine().run().digest()
+        rerun = engine()
+        rerun.run()
+        rerun.init_state()
+        assert rerun.run().digest() == fresh
+
+    def test_init_state_after_partial_run_drops_cached_jobs(self, source, dataset):
+        def engine():
+            return StreamingSimulator(
+                source, DeferOnceTestScheduler(), dataset=dataset,
+                servers_per_region=8, chunk_size=16, collect="aggregate",
+            )
+
+        fresh = engine().run().digest()
+        partial = engine()
+        partial.run_chunks(max_chunks=3)
+        assert partial._job_cache  # Jobs of pending slots the new pool reuses
+        partial.init_state()
+        assert partial.run().digest() == fresh
 
     def test_unknown_home_region_rejected(self, source, dataset):
         engine = StreamingSimulator(

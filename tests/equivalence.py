@@ -1,7 +1,7 @@
 """Shared scalar-vs-batch equivalence assertions.
 
 The contract: for any trace, policy and cluster configuration,
-:class:`~repro.cluster.simulator.BatchSimulator` makes *identical scheduling
+:class:`~repro.cluster.streaming.BatchSimulator` makes *identical scheduling
 decisions* to the scalar :class:`~repro.cluster.simulator.Simulator` (same
 executed regions, start/finish times and deferral counts) and produces
 footprints equal within 1e-9 relative.

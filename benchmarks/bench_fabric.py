@@ -3,15 +3,13 @@
 The sweep fabric's pitch is linear-ish scaling with *zero* loss of
 exactness, so this benchmark measures both at once:
 
-* ``serial`` — the single-box reference: ``run_sweep(..., fused=True)``
-  over the whole policy registry (one trace pass, K lockstep engines).
-* ``fabric`` — the same sweep through
-  :func:`repro.analysis.fabric.run_fabric_sweep` on the multiprocess
-  transport at 1, 2 and 4 local workers (per-policy shards leased off the
-  coordinator's queue).
-* ``tcp`` — the 4-worker case again over the JSON-lines TCP loopback
-  transport (worker subprocesses spawned via ``repro shard-worker``),
-  pricing the socket + base64-pickle overhead of the real multi-node path.
+* ``serial`` — the single-box reference: ``run_sweep(points,
+  transport="inprocess", policies_per_shard=len(points))`` — one fused
+  shard over the whole policy registry (one trace pass, K lockstep
+  engines) on the calling thread.
+* ``fabric`` — the same sweep through :func:`repro.analysis.run_sweep` on
+  the multiprocess transport at 1, 2 and 4 local workers (per-policy shards
+  leased off the coordinator's queue).
 
 Every fabric child re-checks the exactness contract **inside the measured
 process**: the merged distributed digests must equal the single-box fused
@@ -53,7 +51,6 @@ REGRESSION_FACTOR = 1.5
 _HEADLINE_LOWER_IS_WORSE = (
     "fabric_w4_jobs_policies_per_s",
     "fabric_speedup_w4_vs_serial",
-    "tcp_w4_jobs_policies_per_s",
 )
 
 
@@ -118,22 +115,17 @@ def _run_child(
 
 
 def _child_main(args: argparse.Namespace) -> int:
+    from repro.analysis import run_sweep
+
     points = _sweep_points(args.child_jobs)
-
+    started = time.perf_counter()
     if args.child_mode == "serial":
-        from repro.analysis.parallel import run_sweep
-
-        started = time.perf_counter()
-        outcomes = run_sweep(points, executor="serial", fused=True)
-        wall_s = time.perf_counter() - started
-    else:  # fabric transports: process / tcp
-        from repro.analysis.fabric import run_fabric_sweep
-
-        started = time.perf_counter()
-        outcomes = run_fabric_sweep(
-            points, workers=args.child_workers, transport=args.child_mode
+        outcomes = run_sweep(
+            points, transport="inprocess", policies_per_shard=len(points)
         )
-        wall_s = time.perf_counter() - started
+    else:
+        outcomes = run_sweep(points, workers=args.child_workers, transport="process")
+    wall_s = time.perf_counter() - started
 
     digests = {o.point.scheduler: o.digest for o in outcomes}
     if args.child_expect_digests:
@@ -188,8 +180,6 @@ def main(argv=None) -> int:
                         help="workload size of the registry-wide sweep")
     parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4],
                         help="local multiprocess worker counts to measure")
-    parser.add_argument("--tcp-workers", type=int, default=4,
-                        help="worker count of the TCP-loopback case (0 skips it)")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="hard-fail when the max-worker fabric speedup "
                              "over serial falls below this")
@@ -204,7 +194,7 @@ def main(argv=None) -> int:
     # Internal: a single measured mode in a fresh interpreter.
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--child-jobs", type=int, help=argparse.SUPPRESS)
-    parser.add_argument("--child-mode", choices=["serial", "process", "tcp"],
+    parser.add_argument("--child-mode", choices=["serial", "process"],
                         help=argparse.SUPPRESS)
     parser.add_argument("--child-workers", type=int, default=1,
                         help=argparse.SUPPRESS)
@@ -234,15 +224,6 @@ def main(argv=None) -> int:
                 f"{case['policies']} policies: {case['wall_s']:8.1f} s  "
                 f"({case['jobs_policies_per_s']:,.0f} job·pol/s, digests OK)"
             )
-        tcp = None
-        if args.tcp_workers:
-            tcp = _run_child(args.jobs, "tcp", args.tcp_workers, digest_file)
-            cases.append(tcp)
-            print(
-                f"tcp     w={args.tcp_workers}  {tcp['jobs']:>9,} jobs x "
-                f"{tcp['policies']} policies: {tcp['wall_s']:8.1f} s  "
-                f"({tcp['jobs_policies_per_s']:,.0f} job·pol/s, digests OK)"
-            )
     finally:
         digest_file.unlink(missing_ok=True)
 
@@ -255,10 +236,6 @@ def main(argv=None) -> int:
         f"fabric_speedup_w{top}_vs_serial": round(speedup, 2),
         f"fabric_scaling_efficiency_w{top}": round(speedup / top, 3),
     }
-    if tcp is not None:
-        head[f"tcp_w{args.tcp_workers}_jobs_policies_per_s"] = (
-            tcp["jobs_policies_per_s"]
-        )
     report = {
         "benchmark": "fabric_sweep",
         "requested_jobs": args.jobs,

@@ -4,9 +4,10 @@ The paper's evaluation is sweep-shaped — every figure compares the policy
 registry over the *same* workload — so the figure of merit here is
 **jobs·policies per second** for a registry-wide sweep of one scenario:
 
-* ``fused`` — the new fabric: ``run_sweep(..., fused=True)`` collapses the
-  registry into one :class:`~repro.cluster.multi.MultiPolicyRunner` pass
-  (trace generated/columnized once, vectorized event kernel, array decision
+* ``fused`` — the sweep path: ``run_sweep(points, transport="inprocess",
+  policies_per_shard=len(points))`` runs the registry as one fused shard, a
+  single :class:`~repro.cluster.multi.MultiPolicyRunner` pass (trace
+  generated/columnized once, vectorized event kernel, array decision
   pipeline).
 * ``percell`` — the seed fabric, reconstructed from the retained reference
   paths: one :class:`BatchSimulator` per (workload × policy) cell with
@@ -125,7 +126,7 @@ def _child_main(args: argparse.Namespace) -> int:
     )
 
     if args.child_mode == "fused":
-        from repro.analysis.parallel import SweepPoint, run_sweep
+        from repro.analysis import SweepPoint, run_sweep
 
         points = [
             SweepPoint(
@@ -139,7 +140,9 @@ def _child_main(args: argparse.Namespace) -> int:
             for name in policies
         ]
         started = time.perf_counter()
-        outcomes = run_sweep(points, executor="serial", fused=True)
+        outcomes = run_sweep(
+            points, transport="inprocess", policies_per_shard=len(points)
+        )
         wall_s = time.perf_counter() - started
         jobs = outcomes[0].num_jobs
         totals = {o.point.scheduler: o.total_carbon_g for o in outcomes}

@@ -6,19 +6,21 @@
   harness and the examples.
 * :mod:`repro.analysis.sweep` — helpers to run a set of policies over a trace
   and to sweep parameters (delay tolerance, utilization, weights).
-* :mod:`repro.analysis.parallel` — parameter-grid expansion with
-  deterministic content-based seeding, sharded across
-  ``concurrent.futures`` workers.
+* :mod:`repro.analysis.parallel` — sweep points: parameter-grid expansion
+  with deterministic content-based seeding.
+* :mod:`repro.analysis.fabric` — :func:`run_sweep`, the one sweep path:
+  fused shards (:mod:`repro.analysis.shard`) leased to local worker
+  processes, or run serially in-process, and merged exactly.
 * :mod:`repro.analysis.experiments` — one function per paper table/figure;
   the benchmark harness and EXPERIMENTS.md are generated from these.
 """
 
+from repro.analysis.fabric import run_sweep
 from repro.analysis.parallel import (
     SweepOutcome,
     SweepPoint,
     derive_seed,
     expand_grid,
-    run_sweep,
 )
 from repro.analysis.report import format_table
 from repro.analysis.savings import PolicySavings, savings_table

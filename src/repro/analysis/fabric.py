@@ -1,49 +1,35 @@
-"""Work-queue dispatcher for distributed sweeps: lease, run, merge exactly.
+"""The sweep path: lease shards off a queue, run them, merge them exactly.
 
-The fabric turns :mod:`repro.analysis.shard`'s specs into a running sweep:
-a :class:`FabricCoordinator` owns the lease queue and the exact merge state,
-workers — on any transport — loop *lease → run_shard → complete*, and the
-coordinator reassembles outcomes bit-identical to a single-box fused run.
+:func:`run_sweep` is how every sweep runs.  A :class:`FabricCoordinator`
+derives deterministic shards (:mod:`repro.analysis.shard`) from the sweep's
+fused cell groups and owns the lease queue and the exact merge state;
+workers loop *lease → run_shard → complete*, and the coordinator
+reassembles outcomes bit-identical (``StreamResult.digest``) at any worker
+count, shard layout and completion order.
 
-Three transports sit behind one tiny RPC surface
+Two transports sit behind one tiny RPC surface
 (``lease`` / ``heartbeat`` / ``complete`` / ``fail``):
 
-* ``"inprocess"`` — worker threads calling the coordinator directly; the
-  reference implementation the other transports must agree with (and the
-  zero-dependency way to debug a sweep);
-* ``"process"`` — local worker processes over multiprocessing queues; the
-  sweep-executor seam of :func:`repro.analysis.parallel.run_sweep`, now a
-  transport;
-* ``"tcp"`` — a JSON-lines TCP server (the :mod:`repro.service.server`
-  idiom) with workers connecting over sockets; workers may be spawned
-  locally (loopback multi-node) or started on other machines with
-  ``repro shard-worker --connect host:port``.
+* ``"process"`` — the default and the production path: local worker
+  processes over multiprocessing queues;
+* ``"inprocess"`` — the serial reference: one :func:`worker_loop` on the
+  calling thread, calling the coordinator directly (and the zero-dependency
+  way to debug a sweep).
 
-Fault model: every lease carries a deadline, workers heartbeat while a shard
-runs, and a worker lost mid-shard (crash, kill, partition) simply stops
+Fault model: every lease carries a deadline, process workers heartbeat while
+a shard runs, and a worker lost mid-shard (crash, kill) simply stops
 heartbeating — the lease expires, the shard returns to the queue, and the
 next worker resumes from the lineage's last format-4 checkpoint instead of
-restarting.  Stragglers past a multiple of the median shard duration get a
-duplicate lease rather than being awaited; completions are idempotent and
-first-complete-wins.  The TCP client retries with exponential backoff and
-jitter and bounds every wait with a socket timeout, so a transient stall
-degrades to a re-lease instead of hanging the sweep.
+restarting.  A shard that loses its lease or fails ``max_failures`` times
+aborts the sweep.  Completions are idempotent and first-complete-wins.
 """
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import itertools
-import json
 import os
-import pickle
 import queue as queue_module
-import random
-import socket
-import statistics
-import subprocess
-import sys
 import tempfile
 import threading
 import time
@@ -66,30 +52,25 @@ from repro.analysis.shard import (
 __all__ = [
     "ShardQueue",
     "FabricCoordinator",
-    "FabricServer",
-    "FabricClient",
-    "run_fabric_sweep",
-    "run_shard_worker",
+    "run_sweep",
     "worker_loop",
     "TRANSPORTS",
 ]
 
-TRANSPORTS = ("inprocess", "process", "tcp")
+TRANSPORTS = ("inprocess", "process")
 
 _LEASE_TIMEOUT = 60.0
-_STRAGGLER_FACTOR = 4.0
 _MAX_FAILURES = 3
 
 
 class _Entry:
-    __slots__ = ("spec", "state", "leases", "failures", "first_leased_at")
+    __slots__ = ("spec", "state", "leases", "failures")
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
         self.state = "pending"  # pending | running | done | failed
         self.leases: dict[str, float] = {}  # lease id -> deadline
         self.failures = 0
-        self.first_leased_at: float | None = None
 
 
 class ShardQueue:
@@ -100,33 +81,27 @@ class ShardQueue:
     the re-dispatch path, there is no separate recovery machinery.  Each
     full lease loss counts toward ``max_failures``; a shard exceeding it
     poisons the queue (:attr:`error`) so a systematically crashing cell
-    aborts the sweep instead of cycling forever.  Running shards that have
-    outlived ``straggler_factor ×`` the median completed-shard duration are
-    handed out a *duplicate* lease; :meth:`complete` is idempotent and the
-    first result wins.
+    aborts the sweep instead of cycling forever.  A shard holds at most one
+    live lease; :meth:`complete` is idempotent and the first result wins.
     """
 
     def __init__(
         self,
         specs: Sequence[ShardSpec],
         lease_timeout: float = _LEASE_TIMEOUT,
-        straggler_factor: float = _STRAGGLER_FACTOR,
         max_failures: int = _MAX_FAILURES,
         clock=time.monotonic,
     ) -> None:
         if lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
         self.lease_timeout = float(lease_timeout)
-        self.straggler_factor = float(straggler_factor)
         self.max_failures = int(max_failures)
         self.error: str | None = None
         self._clock = clock
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._lease_owner: dict[str, str] = {}  # lease id -> shard key (kept forever)
-        self._lease_started: dict[str, float] = {}
         self._lease_counter = itertools.count()
-        self._durations: list[float] = []
         for spec in specs:
             self.add(spec)
 
@@ -166,25 +141,8 @@ class ShardQueue:
         with self._lock:
             return self._expire_locked(self._clock())
 
-    def _grant_locked(self, entry: _Entry, worker: str, now: float) -> tuple[str, ShardSpec]:
-        lease = f"L{next(self._lease_counter)}-{worker}"
-        entry.state = "running"
-        entry.leases[lease] = now + self.lease_timeout
-        if entry.first_leased_at is None:
-            entry.first_leased_at = now
-        self._lease_owner[lease] = entry.spec.key()
-        self._lease_started[lease] = now
-        return lease, entry.spec
-
-    def _straggler_threshold_locked(self) -> float | None:
-        if not self._durations:
-            return None
-        return self.straggler_factor * max(
-            statistics.median(self._durations), 1e-3
-        )
-
     def lease(self, worker: str = "?") -> tuple[str, ShardSpec] | None:
-        """Grant the next pending shard (or a straggler duplicate); None if idle."""
+        """Grant the next pending shard; None if none is pending."""
         with self._lock:
             now = self._clock()
             self._expire_locked(now)
@@ -192,17 +150,11 @@ class ShardQueue:
                 return None
             for entry in self._entries.values():
                 if entry.state == "pending":
-                    return self._grant_locked(entry, worker, now)
-            threshold = self._straggler_threshold_locked()
-            if threshold is not None:
-                for entry in self._entries.values():
-                    if (
-                        entry.state == "running"
-                        and len(entry.leases) == 1
-                        and entry.first_leased_at is not None
-                        and now - entry.first_leased_at > threshold
-                    ):
-                        return self._grant_locked(entry, worker, now)
+                    lease = f"L{next(self._lease_counter)}-{worker}"
+                    entry.state = "running"
+                    entry.leases[lease] = now + self.lease_timeout
+                    self._lease_owner[lease] = entry.spec.key()
+                    return lease, entry.spec
             return None
 
     def heartbeat(self, lease: str) -> str:
@@ -237,9 +189,6 @@ class ShardQueue:
                 return False
             entry.state = "done"
             entry.leases.clear()
-            started = self._lease_started.get(lease)
-            if started is not None:
-                self._durations.append(self._clock() - started)
             return True
 
     def fail(self, lease: str, error: str = "") -> None:
@@ -281,7 +230,7 @@ class FabricCoordinator:
 
     Transport-agnostic: every transport funnels worker requests into
     :meth:`rpc` (thread-safe) and the coordinator neither knows nor cares
-    whether the bytes came from a thread, a pipe or a socket — the
+    whether they came from the calling thread or a pipe — the
     scheduler-DB replay idiom: a durable spec store whose entries take the
     identical path regardless of which worker picks them up.
     """
@@ -294,7 +243,6 @@ class FabricCoordinator:
         chunks_per_slab: int | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         lease_timeout: float = _LEASE_TIMEOUT,
-        straggler_factor: float = _STRAGGLER_FACTOR,
         max_failures: int = _MAX_FAILURES,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     ) -> None:
@@ -310,7 +258,6 @@ class FabricCoordinator:
                 chunk_size=chunk_size,
             ),
             lease_timeout=lease_timeout,
-            straggler_factor=straggler_factor,
             max_failures=max_failures,
         )
         self.aggregates = MergeableAggregates()
@@ -382,7 +329,7 @@ def _heartbeat_pump(client, lease: str, interval: float, stop: threading.Event) 
         try:
             reply = client.rpc({"op": "heartbeat", "lease": lease})
         except Exception:
-            return  # the RPC path retries internally; give up quietly past that
+            return  # the coordinator is gone; the lease lapses on its own
         if reply.get("status") == "done":
             return
 
@@ -397,10 +344,11 @@ def worker_loop(
     """Lease shards until the coordinator reports the sweep done.
 
     ``client`` is anything with ``rpc(dict) -> dict`` — the in-process
-    coordinator handle, a multiprocessing queue pair, or a TCP client.  A
-    heartbeat thread keeps the lease alive while :func:`run_shard` blocks;
-    exceptions turn into ``fail`` reports (the coordinator decides whether
-    to re-lease or abort).  Returns the number of shards completed.
+    coordinator handle or a multiprocessing queue pair.  A heartbeat thread
+    (when ``heartbeat_interval`` is set) keeps the lease alive while
+    :func:`run_shard` blocks; exceptions turn into ``fail`` reports (the
+    coordinator decides whether to re-lease or abort).  Returns the number
+    of shards completed.
     """
     completed = 0
     while True:
@@ -555,349 +503,18 @@ def _run_transport_process(
 # -- inprocess transport ----------------------------------------------------------------
 
 
-def _run_transport_inprocess(coordinator: FabricCoordinator, workers: int) -> None:
-    threads = [
-        threading.Thread(
-            target=worker_loop,
-            args=(_LocalClient(coordinator), coordinator.checkpoint_dir),
-            kwargs={"worker": f"thread-{i}"},
-            daemon=True,
-        )
-        for i in range(workers)
-    ]
-    for thread in threads:
-        thread.start()
-    while not coordinator.done():
-        coordinator.queue.expire()
-        time.sleep(0.02)
-    for thread in threads:
-        thread.join(timeout=5.0)
-
-
-# -- TCP transport ----------------------------------------------------------------------
-
-
-def _encode_result(result: ShardResult) -> str:
-    return base64.b64encode(pickle.dumps(result)).decode("ascii")
-
-
-def _decode_result(blob: str) -> ShardResult:
-    return pickle.loads(base64.b64decode(blob.encode("ascii")))
-
-
-class FabricServer:
-    """JSON-lines TCP front end over a :class:`FabricCoordinator`.
-
-    One request per line, one response per line, UTF-8 JSON — the
-    :class:`repro.service.server.AdmissionServer` idiom.  Shard specs travel
-    as plain JSON (:meth:`ShardSpec.as_dict`); shard results, which carry
-    accumulator objects, travel as base64 pickles inside the JSON envelope.
-    Runs its asyncio loop in a background thread so the coordinator's
-    blocking main loop stays untouched.
-    """
-
-    def __init__(
-        self, coordinator: FabricCoordinator, host: str = "127.0.0.1", port: int = 0
-    ) -> None:
-        self.coordinator = coordinator
-        self.host = host
-        self.port = int(port)
-        self._thread: threading.Thread | None = None
-        self._loop = None
-        self._server = None
-        self._ready = threading.Event()
-        self._failure: BaseException | None = None
-
-    # -- request handling (runs on the loop thread) ------------------------------------
-    def _dispatch(self, request: dict) -> dict:
-        op = request.get("op")
-        if op == "lease":
-            reply = self.coordinator.rpc(request)
-            spec = reply.pop("spec", None)
-            if spec is not None:
-                reply["spec"] = spec.as_dict()
-            return reply
-        if op == "complete":
-            request = dict(request)
-            request["result"] = _decode_result(request["result"])
-            return self.coordinator.rpc(request)
-        return self.coordinator.rpc(request)
-
-    async def _handle(self, reader, writer):
-        import asyncio
-
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    request = json.loads(line)
-                    # Shard work is CPU-trivial here (queue ops + merges);
-                    # run in the default executor so a large result unpickle
-                    # never starves the accept loop.
-                    response = await asyncio.get_running_loop().run_in_executor(
-                        None, self._dispatch, request
-                    )
-                except (KeyError, ValueError, TypeError, RuntimeError) as error:
-                    response = {"ok": False, "error": f"{type(error).__name__}: {error}"}
-                writer.write(json.dumps(response).encode() + b"\n")
-                await writer.drain()
-        finally:
-            writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await writer.wait_closed()
-
-    async def _main(self, started: threading.Event) -> None:
-        import asyncio
-
-        self._loop = asyncio.get_running_loop()
-        # Completed-shard lines carry base64-pickled accumulators — far past
-        # asyncio's default 64 KiB readline limit.
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port, limit=1 << 28
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        started.set()
-        async with self._server:
-            with contextlib.suppress(asyncio.CancelledError):
-                await asyncio.Event().wait()
-
-    def _thread_main(self) -> None:
-        import asyncio
-
-        try:
-            asyncio.run(self._main(self._ready))
-        except BaseException as error:  # surfaces in start()/stop()
-            self._failure = error
-            self._ready.set()
-
-    def start(self) -> "FabricServer":
-        self._thread = threading.Thread(target=self._thread_main, daemon=True)
-        self._thread.start()
-        self._ready.wait(timeout=10.0)
-        if self._failure is not None:
-            raise RuntimeError(f"fabric server failed to start: {self._failure}")
-        if self._server is None:
-            raise RuntimeError("fabric server did not come up within 10s")
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._cancel_all)
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-
-    def _cancel_all(self) -> None:
-        import asyncio
-
-        for task in asyncio.all_tasks(self._loop):
-            task.cancel()
-
-
-class FabricClient:
-    """Blocking JSON-lines TCP client with retry, backoff + jitter, and timeouts.
-
-    Every RPC is bounded by ``timeout`` (socket-level), so a stalled
-    coordinator read raises instead of hanging the worker; transient
-    connect/send/recv failures reconnect and retry with exponential backoff
-    and multiplicative jitter.  ``complete`` retries are safe: the
-    coordinator's first-complete-wins makes re-delivery idempotent.
-    Thread-safe (one in-flight RPC at a time).
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 60.0,
-        retries: int = 5,
-        backoff_base: float = 0.1,
-        backoff_cap: float = 5.0,
-        seed: int | None = None,
-    ) -> None:
-        self.host = host
-        self.port = int(port)
-        self.timeout = float(timeout)
-        self.retries = int(retries)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-        self._sock: socket.socket | None = None
-        self._file = None
-
-    def _connect(self) -> None:
-        if self._sock is not None:
-            return
-        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        sock.settimeout(self.timeout)
-        self._sock = sock
-        self._file = sock.makefile("rwb")
-
-    def close(self) -> None:
-        with self._lock:
-            self._close_locked()
-
-    def _close_locked(self) -> None:
-        if self._file is not None:
-            with contextlib.suppress(OSError):
-                self._file.close()
-            self._file = None
-        if self._sock is not None:
-            with contextlib.suppress(OSError):
-                self._sock.close()
-            self._sock = None
-
-    def _backoff(self, attempt: int) -> float:
-        # Full-jitter exponential backoff: uniform in (0, base * 2^attempt],
-        # capped — avoids thundering-herd re-lease storms after a
-        # coordinator hiccup.
-        span = min(self.backoff_cap, self.backoff_base * (2.0 ** attempt))
-        return span * (0.5 + 0.5 * self._rng.random())
-
-    def rpc(self, request: dict) -> dict:
-        if request.get("op") == "complete" and isinstance(
-            request.get("result"), ShardResult
-        ):
-            request = dict(request)
-            request["result"] = _encode_result(request["result"])
-        line = json.dumps(request).encode() + b"\n"
-        last_error: Exception | None = None
-        with self._lock:
-            for attempt in range(self.retries + 1):
-                try:
-                    self._connect()
-                    self._file.write(line)
-                    self._file.flush()
-                    reply = self._file.readline()
-                    if not reply:
-                        raise ConnectionError("coordinator closed the connection")
-                    return json.loads(reply)
-                except (OSError, ValueError, ConnectionError) as error:
-                    last_error = error
-                    self._close_locked()
-                    if attempt >= self.retries:
-                        break
-                    time.sleep(self._backoff(attempt))
-        raise ConnectionError(
-            f"fabric RPC to {self.host}:{self.port} failed after "
-            f"{self.retries + 1} attempts: {last_error}"
-        )
-
-
-class _TcpWorkerClient(FabricClient):
-    """Worker-facing TCP client that re-hydrates lease specs from JSON."""
-
-    def rpc(self, request: dict) -> dict:
-        reply = super().rpc(request)
-        spec = reply.get("spec")
-        if spec is not None:
-            reply["spec"] = ShardSpec.from_dict(spec)
-        return reply
-
-
-def run_shard_worker(
-    host: str,
-    port: int,
-    checkpoint_dir,
-    worker: str = "",
-    heartbeat_interval: float | None = 5.0,
-    timeout: float = 60.0,
-    retries: int = 5,
-) -> int:
-    """Connect to a fabric coordinator and work shards until the sweep ends.
-
-    The entry point behind ``repro shard-worker --connect host:port`` —
-    run it on as many machines as you like; every worker needs the same
-    code version (checkpoints and specs are pickled/replayed) but rebuilds
-    workloads locally from the spec parameters, so no trace data crosses
-    the wire.  Returns the number of shards this worker completed.
-    """
-    client = _TcpWorkerClient(host, port, timeout=timeout, retries=retries)
-    name = worker or f"{socket.gethostname()}-{os.getpid()}"
-    try:
-        return worker_loop(
-            client,
-            checkpoint_dir,
-            worker=name,
-            heartbeat_interval=heartbeat_interval,
-        )
-    finally:
-        client.close()
-
-
-def _spawn_local_tcp_workers(
-    port: int, workers: int, checkpoint_dir, heartbeat_interval: float
-) -> list:
-    """Local worker subprocesses for the TCP-loopback (simulated multi-node) case."""
-    import repro
-
-    src_root = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        part for part in (src_root, env.get("PYTHONPATH")) if part
+def _run_transport_inprocess(coordinator: FabricCoordinator) -> None:
+    # One worker on the calling thread: nothing else leases, so no lease can
+    # expire under it and it needs no heartbeat.
+    worker_loop(
+        _LocalClient(coordinator), coordinator.checkpoint_dir, worker="inprocess"
     )
-    procs = []
-    for index in range(workers):
-        procs.append(
-            subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "shard-worker",
-                    "--connect",
-                    f"127.0.0.1:{port}",
-                    "--checkpoint-dir",
-                    str(checkpoint_dir),
-                    "--worker",
-                    f"tcp-{index}",
-                    "--heartbeat-interval",
-                    str(heartbeat_interval),
-                ],
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-            )
-        )
-    return procs
-
-
-def _run_transport_tcp(
-    coordinator: FabricCoordinator, workers: int, heartbeat_interval: float
-) -> None:
-    server = FabricServer(coordinator).start()
-    procs = []
-    try:
-        procs = _spawn_local_tcp_workers(
-            server.port, workers, coordinator.checkpoint_dir, heartbeat_interval
-        )
-        while not coordinator.done():
-            coordinator.queue.expire()
-            if all(proc.poll() is not None for proc in procs):
-                raise RuntimeError(
-                    "all fabric workers exited before the sweep completed"
-                )
-            time.sleep(0.05)
-        for proc in procs:
-            with contextlib.suppress(subprocess.TimeoutExpired):
-                proc.wait(timeout=5.0)
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.terminate()
-                with contextlib.suppress(subprocess.TimeoutExpired):
-                    proc.wait(timeout=2.0)
-                if proc.poll() is None:
-                    proc.kill()
-        server.stop()
 
 
 # -- entry point ------------------------------------------------------------------------
 
 
-def run_fabric_sweep(
+def run_sweep(
     points: Sequence[SweepPoint],
     workers: int | None = None,
     transport: str = "process",
@@ -907,30 +524,48 @@ def run_fabric_sweep(
     checkpoint_dir=None,
     lease_timeout: float = _LEASE_TIMEOUT,
     heartbeat_interval: float | None = None,
-    straggler_factor: float = _STRAGGLER_FACTOR,
     max_failures: int = _MAX_FAILURES,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     cleanup: bool = True,
 ) -> list[SweepOutcome]:
-    """Run a sweep through the shard fabric; outcomes in input order.
+    """Simulate every sweep point through the shard fabric; outcomes in input order.
 
-    The distributed counterpart of
-    :func:`repro.analysis.parallel.run_sweep` — same points in, same
-    outcomes out, and the assembled aggregates are *bit-identical*
-    (``StreamResult.digest``) to ``run_sweep(fused=True)`` at any worker
-    count, transport and shard order.  ``checkpoint_dir`` must be shared by
-    all workers (a local path for local transports, a shared filesystem for
-    real multi-node TCP); ``None`` uses a sweep-lifetime temp directory.
+    Parameters
+    ----------
+    points:
+        Sweep points (typically from
+        :func:`~repro.analysis.parallel.expand_grid`).
+    workers:
+        Worker processes for ``transport="process"``; ``None`` picks
+        ``min(4, cpu_count)``.  ``"inprocess"`` runs exactly one worker and
+        rejects ``workers > 1``.
+    transport:
+        ``"process"`` (default, production) or ``"inprocess"`` (the serial
+        reference on the calling thread).
+    policies_per_shard, chunks_per_slab, chunk_size:
+        Shard layout (:func:`~repro.analysis.shard.derive_shards`):
+        ``policies_per_shard=len(points)`` runs each workload as one fused
+        pass, ``chunks_per_slab`` splits lineages into time slabs.
+    checkpoint_dir:
+        Shard checkpoint directory shared by the workers; ``None`` uses a
+        sweep-lifetime temp directory.
+
+    The merged aggregates are *bit-identical* (``StreamResult.digest``) at
+    any worker count, transport and shard layout.
     """
     if transport not in TRANSPORTS:
         raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
+    if transport == "inprocess" and workers not in (None, 1):
+        raise ValueError(
+            f"the inprocess transport runs one worker, got workers={workers}"
+        )
     points = list(points)
     if not points:
         return []
     if workers is None:
         workers = max(1, min(4, os.cpu_count() or 1))
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if heartbeat_interval is None:
         heartbeat_interval = max(0.5, lease_timeout / 3.0)
 
@@ -946,16 +581,13 @@ def run_fabric_sweep(
             chunks_per_slab=chunks_per_slab,
             chunk_size=chunk_size,
             lease_timeout=lease_timeout,
-            straggler_factor=straggler_factor,
             max_failures=max_failures,
             checkpoint_every=checkpoint_every,
         )
         if transport == "inprocess":
-            _run_transport_inprocess(coordinator, workers)
-        elif transport == "process":
-            _run_transport_process(coordinator, workers, heartbeat_interval)
+            _run_transport_inprocess(coordinator)
         else:
-            _run_transport_tcp(coordinator, workers, heartbeat_interval)
+            _run_transport_process(coordinator, workers, heartbeat_interval)
         try:
             return coordinator.outcomes()
         finally:

@@ -1,15 +1,15 @@
-"""Transport-agnostic shard protocol for distributed sweeps.
+"""Transport-agnostic shard protocol of the sweep path.
 
 A *shard* is the unit of work the sweep fabric (:mod:`repro.analysis.fabric`)
 dispatches to workers: one fused cell group's workload, a subset of its
 policies, and a *time slab* — a contiguous range of trace chunks.
-:class:`ShardSpec` pins all three deterministically, so any worker on any
+:class:`ShardSpec` pins all three deterministically, so any worker on either
 transport replays the identical simulation:
 
 * **workload spec** — the :class:`~repro.analysis.parallel.SweepPoint`\\ s of
   the shard (all sharing one fuse key, i.e. one workload + conditions);
   workers rebuild the trace and dataset from the point parameters through
-  the same per-worker LRU cache the executor sweeps use;
+  the per-process LRU cache of :mod:`repro.analysis.parallel`;
 * **policy subset** — sharding along the policy axis is what parallelizes a
   fused group: each policy-subset shard drives its own
   :class:`~repro.cluster.multi.MultiPolicyRunner` over the shared workload;
@@ -17,10 +17,9 @@ transport replays the identical simulation:
   Slabs of one *lineage* (same points × policies × chunk size) necessarily
   run **sequentially** — simulation state at chunk *k* depends on chunks
   ``< k`` — chained through fused format-4 checkpoints named after the
-  lineage hash.  Slabs exist for fault tolerance and straggler granularity,
-  not parallelism: a worker lost mid-slab costs at most
-  ``checkpoint_every`` chunks of replay, and the coordinator re-leases the
-  *slab*, not the whole lineage.
+  lineage hash.  Slabs exist for fault tolerance, not parallelism: a worker
+  lost mid-slab costs at most ``checkpoint_every`` chunks of replay, and the
+  coordinator re-leases the *slab*, not the whole lineage.
 
 Each non-final slab ships the aggregates accumulated *during the slab* (the
 collector is reset at slab entry); the final slab ships a finalized
@@ -30,8 +29,8 @@ engine state rode the checkpoint chain.  :class:`MergeableAggregates` folds
 the per-slab partials together with the exact, order-independent ``merge()``
 of :class:`~repro.cluster.metrics.RunningJobStats` /
 :class:`~repro.cluster.footprint.RunningFootprintTotals`, so the assembled
-result is **bit-identical** (``StreamResult.digest``) to a single-box fused
-run — at any worker count, any transport, any shard arrival order.
+result is **bit-identical** (``StreamResult.digest``) to one unsharded
+fused pass — at any worker count, either transport, any shard arrival order.
 
 Checkpoint names derive from the lineage hash (not PID or tmpnam): a
 re-dispatched shard finds its predecessor's file, and
@@ -80,7 +79,7 @@ def _canonical_hash(payload: object) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class ShardSpec:
-    """One leasable unit of sweep work (hashable, picklable, JSON-able).
+    """One leasable unit of sweep work (hashable and picklable).
 
     ``points`` are the policy cells of the shard — all sharing one fuse key —
     and ``indices`` their positions in the originating sweep's point list
@@ -139,38 +138,6 @@ class ShardSpec:
             self, chunk_start=int(chunks_done), slab=self.slab + 1
         )
 
-    # -- JSON transport ----------------------------------------------------------------
-    def as_dict(self) -> dict:
-        """Pure-JSON representation (the TCP transport ships specs this way)."""
-        return {
-            "points": [dataclasses.asdict(point) for point in self.points],
-            "indices": list(self.indices),
-            "chunk_size": self.chunk_size,
-            "chunk_start": self.chunk_start,
-            "max_chunks": self.max_chunks,
-            "slab": self.slab,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ShardSpec":
-        points = []
-        for raw in payload["points"]:
-            raw = dict(raw)
-            raw["scheduler_kwargs"] = tuple(
-                (str(name), value) for name, value in raw.get("scheduler_kwargs", ())
-            )
-            points.append(SweepPoint(**raw))
-        return cls(
-            points=tuple(points),
-            indices=tuple(int(i) for i in payload["indices"]),
-            chunk_size=int(payload["chunk_size"]),
-            chunk_start=int(payload["chunk_start"]),
-            max_chunks=(
-                None if payload["max_chunks"] is None else int(payload["max_chunks"])
-            ),
-            slab=int(payload["slab"]),
-        )
-
 
 @dataclasses.dataclass
 class ShardResult:
@@ -199,14 +166,15 @@ def derive_shards(
 ) -> list[ShardSpec]:
     """Deterministic slab-0 shards of a sweep's fused groups.
 
-    Groups the points by fuse key exactly as ``run_sweep(fused=True)`` does,
-    then splits each group along the policy axis into subsets of
+    Groups the points by fuse key (same workload and conditions), then
+    splits each group along the policy axis into subsets of
     ``policies_per_shard`` cells (1 by default — policy cells dominate the
-    cost and per-policy shards load-balance best).  Later slabs are created
-    dynamically by the coordinator as non-final slabs complete, so only
-    slab 0 is derived here.  Input order is preserved group-by-group, and
-    the derivation is a pure function of ``points`` — every coordinator
-    derives the identical shard list.
+    cost and per-policy shards load-balance best; ``len(points)`` keeps each
+    group one fused pass).  Later slabs are created dynamically by the
+    coordinator as non-final slabs complete, so only slab 0 is derived here.
+    Input order is preserved group-by-group, and the derivation is a pure
+    function of ``points`` — every coordinator derives the identical shard
+    list.
     """
     if policies_per_shard < 1:
         raise ValueError("policies_per_shard must be >= 1")
@@ -384,7 +352,7 @@ class MergeableAggregates:
     engine-derived whole-lineage fields (makespan, utilization, decision
     times) plus its own slab's aggregates.  :meth:`result` swaps the fully
     merged accumulators into that result, making it bit-identical
-    (``digest()``) to a single-box fused run of the same cells.
+    (``digest()``) to one unsharded fused pass over the same cells.
     """
 
     def __init__(self) -> None:

@@ -37,6 +37,10 @@ Sub-commands
     batches online with a wall clock (``--rate`` trace seconds per wall
     second).  ``--selftest`` spins an in-process client instead, submits a
     few synthetic batches and exits — the CI smoke path.
+``sweep``
+    Run a policy × seed grid through the shard fabric — ``--transport
+    process`` (the default) or ``inprocess`` (the serial reference) — and
+    print per-cell totals and digests; ``--report FILE`` writes them as JSON.
 ``regions``
     Print the region catalog with each region's average carbon intensity,
     EWIF, WUE, water-scarcity factor and water intensity.
@@ -217,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="run a policy sweep locally or through the distributed shard fabric",
+        help="run a policy sweep through the shard fabric",
     )
     sweep.add_argument(
         "--policies", nargs="+", default=None,
@@ -241,56 +245,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload seeds: one sweep point per (policy × seed)",
     )
     sweep.add_argument(
-        "--transport", choices=["inprocess", "process", "tcp"], default=None,
-        help="run through the shard fabric on this transport (default: the "
-             "local executor pool; merged fabric results are digest-identical "
-             "to --fused on one box)",
+        "--transport", choices=["inprocess", "process"], default="process",
+        help="process: local worker processes (default); inprocess: one "
+             "worker on the calling thread (the serial reference).  Both "
+             "give digest-identical results",
     )
     sweep.add_argument("--workers", type=int, default=None,
-                       help="worker count (pool or fabric)")
-    sweep.add_argument(
-        "--fused", action="store_true",
-        help="fuse same-workload cells into one-pass multi-policy tasks "
-             "(local executor only; fabric shards are always fused)",
-    )
+                       help="worker processes (process transport; default: "
+                            "min(4, cpu count))")
     sweep.add_argument(
         "--chunks-per-slab", type=int, default=None,
-        help="fabric: split each shard into time slabs of this many chunks "
-             "(fault/straggler granularity; default: one slab per shard)",
+        help="split each shard into time slabs of this many chunks "
+             "(fault-recovery granularity; default: one slab per shard)",
     )
     sweep.add_argument("--chunk-size", type=int, default=4096,
                        help="jobs per streaming chunk")
     sweep.add_argument(
         "--checkpoint-dir", default=None,
-        help="fabric: shard checkpoint directory shared by all workers "
+        help="shard checkpoint directory shared by all workers "
              "(default: a sweep-lifetime temp dir)",
     )
     sweep.add_argument(
         "--report", metavar="FILE", default=None,
         help="write the outcome table (and per-cell digests) to FILE as JSON",
     )
-
-    shard_worker = sub.add_parser(
-        "shard-worker",
-        help="join a distributed sweep: lease shards from a fabric coordinator over TCP",
-    )
-    shard_worker.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="fabric coordinator address (printed by the tcp-transport sweep)",
-    )
-    shard_worker.add_argument(
-        "--checkpoint-dir", required=True,
-        help="shard checkpoint directory (must be the coordinator's; shared "
-             "filesystem for real multi-node runs)",
-    )
-    shard_worker.add_argument("--worker", default="",
-                              help="worker name for the coordinator's lease log")
-    shard_worker.add_argument("--heartbeat-interval", type=float, default=5.0,
-                              help="lease heartbeat cadence (s)")
-    shard_worker.add_argument("--timeout", type=float, default=60.0,
-                              help="per-RPC socket timeout (s)")
-    shard_worker.add_argument("--retries", type=int, default=5,
-                              help="RPC retry attempts (exponential backoff with jitter)")
 
     sub.add_parser("regions", help="print the region catalog and its sustainability factors")
     sub.add_parser("workloads", help="print the PARSEC/CloudSuite workload profiles")
@@ -753,7 +731,7 @@ def _cmd_scenarios() -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis.parallel import SweepPoint, run_sweep
+    from repro.analysis import SweepPoint, run_sweep
 
     policies = args.policies or list(available_schedulers())
     points = [
@@ -765,23 +743,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             delay_tolerance=args.tolerance,
             servers_per_region=args.servers,
             scheduling_interval_s=args.interval,
-            engine="stream",
             seed=seed,
         )
         for seed in args.seeds
         for policy in policies
     ]
-    if args.transport is not None:
-        outcomes = run_sweep(
-            points,
-            workers=args.workers,
-            transport=args.transport,
-            chunks_per_slab=args.chunks_per_slab,
-            chunk_size=args.chunk_size,
-            checkpoint_dir=args.checkpoint_dir,
-        )
-    else:
-        outcomes = run_sweep(points, workers=args.workers, fused=args.fused)
+    outcomes = run_sweep(
+        points,
+        workers=args.workers,
+        transport=args.transport,
+        chunks_per_slab=args.chunks_per_slab,
+        chunk_size=args.chunk_size,
+        checkpoint_dir=args.checkpoint_dir,
+    )
     rows = [
         [
             outcome.point.scheduler,
@@ -791,18 +765,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{outcome.total_water_l:.2f}",
             f"{outcome.mean_service_ratio:.4f}",
             f"{outcome.violation_fraction:.4f}",
-            "-" if outcome.digest is None else f"{outcome.digest:08x}",
+            f"{outcome.digest:08x}",
         ]
         for outcome in outcomes
     ]
-    mode = f"fabric/{args.transport}" if args.transport else (
-        "fused pool" if args.fused else "pool"
-    )
     print(format_table(
         ["policy", "seed", "jobs", "carbon_kg", "water_l",
          "service_ratio", "violations", "digest"],
         rows,
-        title=f"Sweep: {args.trace} × {len(points)} cells ({mode})",
+        title=f"Sweep: {args.trace} × {len(points)} cells (fabric/{args.transport})",
     ))
     if args.report:
         import json
@@ -826,25 +797,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shard_worker(args: argparse.Namespace) -> int:
-    from repro.analysis.fabric import run_shard_worker
-
-    host, _, port = args.connect.rpartition(":")
-    if not host or not port.isdigit():
-        raise SystemExit(f"--connect wants HOST:PORT, got {args.connect!r}")
-    completed = run_shard_worker(
-        host,
-        int(port),
-        args.checkpoint_dir,
-        worker=args.worker,
-        heartbeat_interval=args.heartbeat_interval,
-        timeout=args.timeout,
-        retries=args.retries,
-    )
-    print(f"shard worker done: {completed} shard(s) completed")
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -860,8 +812,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_serve(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "shard-worker":
-        return _cmd_shard_worker(args)
     if args.command == "regions":
         return _cmd_regions()
     if args.command == "workloads":

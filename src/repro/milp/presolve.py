@@ -8,8 +8,12 @@ problem:
   inward.  On WaterWise placement forms this is the reduction that matters:
   a delay row ``Σ_n (L_mn / t_m) · x_mn ≤ TOL_m`` with a ratio above the
   tolerance forces that placement binary to zero.
-* **fixed-variable elimination** — variables with ``lower == upper`` are
-  substituted into the right-hand sides and the objective constant.
+* **fixed-variable elimination** — integer variables with ``lower == upper``,
+  and variables whose bounds were already equal on input, are substituted
+  into the right-hand sides and the objective constant.  A continuous
+  variable whose box merely *collapsed* under tightening stays in the
+  problem: fixing it at a bound that is off by the tolerance would let a
+  steep equality row amplify the error into a false infeasibility.
 * **redundant-row removal** — rows whose maximum activity already satisfies
   the bound are dropped (after the two reductions above, the delay rows of a
   hard placement form all disappear, leaving a pure transportation problem).
@@ -33,6 +37,10 @@ __all__ = ["PresolveStats", "PresolvedForm", "presolve"]
 
 _TOL = 1e-9
 _MAX_PASSES = 10
+#: A continuous column whose finite box is narrower than this (relative to
+#: its magnitude) is no longer tightened: its bounds already pin it to the
+#: feasible point, and further shrinking only compounds rounding error.
+_NARROW_BOX = 1e-7
 
 
 @dataclasses.dataclass
@@ -126,7 +134,8 @@ def _tighten_from_rows(
     ``a_ij * x_j <= rhs_i - (min_act_i - a_ij-contribution_j)``.  Implied
     bounds are rounded inward for integer variables and only applied when they
     strictly improve by more than the tolerance (so floating-point noise can
-    never oscillate the fixpoint loop).
+    never oscillate the fixpoint loop).  Continuous variables whose finite box
+    is already narrower than :data:`_NARROW_BOX` relative are left alone.
     """
     tightened = 0
     min_act, _ = _activity_bounds(a, lower, upper)
@@ -136,6 +145,11 @@ def _tighten_from_rows(
         if support.size == 0:
             continue
         for j in support:
+            if not integrality[j]:
+                width = upper[j] - lower[j]
+                scale = 1.0 + max(abs(lower[j]), abs(upper[j]))
+                if np.isfinite(width) and width < _NARROW_BOX * scale:
+                    continue
             coeff = row[j]
             # Minimum activity of the row *excluding* variable j.
             own_min = coeff * lower[j] if coeff > 0.0 else coeff * upper[j]
@@ -176,6 +190,7 @@ def presolve(form: StandardForm) -> PresolvedForm:
     lower = form.lower.astype(float).copy()
     upper = form.upper.astype(float).copy()
     integrality = form.integrality.copy()
+    equal_on_input = lower == upper
     n = len(c)
 
     stats = PresolveStats(
@@ -218,7 +233,7 @@ def presolve(form: StandardForm) -> PresolvedForm:
             return _infeasible()
 
         # -- fixed-variable elimination --------------------------------------
-        fixed = (upper - lower) <= _TOL
+        fixed = ((upper - lower) <= _TOL) & (integrality | equal_on_input)
         if np.any(fixed):
             values = lower.copy()
             values[integrality & fixed] = np.round(values[integrality & fixed])
@@ -235,6 +250,7 @@ def presolve(form: StandardForm) -> PresolvedForm:
             lower = lower[keep]
             upper = upper[keep]
             integrality = integrality[keep]
+            equal_on_input = equal_on_input[keep]
             kept_cols = kept_cols[keep]
             changed = True
 

@@ -50,7 +50,7 @@ Hypothesis suites in ``tests/traces/test_scenarios.py`` and
 Scenarios plug in everywhere traces do: :func:`scenario_trace` feeds the
 one-shot simulators, :func:`scenario_source` the streaming engine,
 ``SweepPoint(trace_kind=<scenario>)`` runs them through
-:mod:`repro.analysis.parallel`, and ``python -m repro simulate --scenario
+:func:`repro.analysis.run_sweep`, and ``python -m repro simulate --scenario
 <name>`` drives them from the command line.
 """
 

@@ -311,15 +311,14 @@ class TraceView(TraceSource):
 class ColumnSource(TraceSource):
     """A :class:`TraceSource` over pre-assembled chunk-format column arrays.
 
-    The arrays are used as-is — no copies — so the columns may be views into
-    a ``multiprocessing.shared_memory`` segment: the parallel sweep fabric
-    packs a workload's columns once and every worker process streams
-    zero-copy slices of the shared buffer instead of regenerating the trace.
-    ``trace_name`` metadata is carried explicitly so results are labelled
-    exactly like the originating generator's.
+    The arrays are used as-is — no copies — and each chunk is a zero-copy
+    slice of them, so one assembled workload (for example a recorded chunk
+    replayed as a reference run) can be streamed at any chunk size without
+    regenerating it.  ``trace_name`` metadata is carried explicitly so
+    results are labelled exactly like the originating generator's.
 
-    The caller must keep the backing buffer alive (and, for shared memory,
-    attached) for as long as chunks from this source are in use.
+    The caller must keep the backing buffers alive for as long as chunks
+    from this source are in use.
     """
 
     def __init__(

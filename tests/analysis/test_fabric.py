@@ -1,15 +1,15 @@
 """Fabric tests: lease-queue semantics, fault recovery, transport equality.
 
 The queue tests drive :class:`ShardQueue` with a fake clock so lease
-expiry, straggler duplicate-leases and the max-failures poison path are
-deterministic.  The kill test SIGKILLs a worker process mid-shard and
+expiry, the one-live-lease rule and the max-failures poison path are
+deterministic.  The heartbeat tests run one slow shard under a coordinator
+that expires leases all along.  The kill test SIGKILLs a worker process mid-shard and
 proves the re-dispatched shard resumes from the lineage checkpoint to a
 digest-identical result — the fabric's central fault-tolerance claim.
 """
 
-import json
+import multiprocessing
 import signal
-import socket
 import subprocess
 import sys
 import threading
@@ -18,21 +18,21 @@ from pathlib import Path
 
 import pytest
 
+import repro.analysis
 from repro.analysis.fabric import (
-    FabricClient,
+    TRANSPORTS,
     FabricCoordinator,
     ShardQueue,
-    run_fabric_sweep,
+    _LocalClient,
+    run_sweep,
     worker_loop,
 )
-from repro.analysis.parallel import SweepPoint, run_sweep
-from repro.analysis.shard import ShardSpec, checkpoint_path, derive_shards, run_shard
+from repro.analysis.parallel import SweepPoint
+from repro.analysis.shard import checkpoint_path, derive_shards, run_shard
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-_WORKLOAD = dict(
-    trace_kind="bursty", rate_per_hour=50.0, duration_days=0.1, engine="stream"
-)
+_WORKLOAD = dict(trace_kind="bursty", rate_per_hour=50.0, duration_days=0.1)
 
 
 def _points(policies=("baseline", "least-load")):
@@ -59,7 +59,7 @@ class TestShardQueue:
         lease_a, spec_a = queue.lease("w0")
         lease_b, spec_b = queue.lease("w1")
         assert spec_a != spec_b
-        assert queue.lease("w2") is None  # nothing pending, no stragglers yet
+        assert queue.lease("w2") is None  # nothing pending
         assert queue.heartbeat(lease_a) == "ok"
         assert queue.heartbeat("L999-nobody") == "lost"
         assert queue.complete(lease_a)
@@ -107,78 +107,87 @@ class TestShardQueue:
         queue.fail(lease, "boom again")
         assert "boom again" in queue.error
 
-    def test_straggler_gets_duplicate_lease(self):
+    def test_live_lease_is_never_duplicated(self):
+        # A shard that runs far longer than its sibling, but keeps
+        # heartbeating, belongs to its worker alone: an idle worker gets
+        # nothing to do rather than a second copy of it.
         clock = _Clock()
-        queue = ShardQueue(
-            _specs(2), lease_timeout=100.0, straggler_factor=4.0, clock=clock
-        )
+        queue = ShardQueue(_specs(2), lease_timeout=100.0, clock=clock)
         fast, _ = queue.lease("fast")
         slow, _ = queue.lease("slow")
         clock.now = 1.0
-        assert queue.complete(fast)  # median duration: 1s
-        clock.now = 3.0
-        assert queue.lease("helper") is None  # 2s running < 4 × median
-        clock.now = 6.0
-        duplicate = queue.lease("helper")  # 5s running > 4 × median
-        assert duplicate is not None
-        assert duplicate[1] == queue.specs()[1]
-        # First of the two competing leases to finish wins.
-        assert queue.complete(duplicate[0])
-        assert not queue.complete(slow)
+        assert queue.complete(fast)
+        while clock.now < 50.0:
+            clock.now += 7.0
+            assert queue.heartbeat(slow) == "ok"
+            assert queue.lease("helper") is None
+        assert queue.counts() == {"pending": 0, "running": 1, "done": 1, "failed": 0}
+        assert queue.complete(slow)
         assert queue.all_done()
 
 
-class TestFabricClientRetry:
-    def test_backoff_is_exponential_jittered_and_capped(self):
-        client = FabricClient("127.0.0.1", 1, backoff_base=0.1, backoff_cap=2.0, seed=3)
-        for attempt in range(8):
-            span = min(2.0, 0.1 * 2.0**attempt)
-            for _ in range(10):
-                delay = client._backoff(attempt)
-                assert 0.5 * span <= delay <= span
+class TestWorkerHeartbeat:
+    """A worker's heartbeat is what tells a slow shard from a lost one.
 
-    def test_rpc_retries_through_a_dropped_connection(self):
-        # A server that slams the first connection shut, then answers: the
-        # client must reconnect and succeed without surfacing the drop.
-        listener = socket.create_server(("127.0.0.1", 0))
-        port = listener.getsockname()[1]
-        accepted = []
+    The coordinator expires overdue leases all along, as the process
+    transport's run loop does, while one worker runs a shard that takes
+    several lease timeouts; ``max_failures=1`` makes a single lease loss
+    fatal.
+    """
 
-        def serve():
-            first, _ = listener.accept()
-            first.close()
-            second, _ = listener.accept()
-            accepted.append(True)
-            handle = second.makefile("rwb")
-            handle.readline()
-            handle.write(b'{"ok": true, "echo": 1}\n')
-            handle.flush()
-            second.close()
+    _LEASE_TIMEOUT = 0.3
 
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        client = FabricClient(
-            "127.0.0.1", port, timeout=5.0, retries=3, backoff_base=0.01, seed=0
+    def _run_slow_shard(self, tmp_path, monkeypatch, heartbeat_interval):
+        def slow_run_shard(spec, checkpoint_dir, checkpoint_every=8):
+            time.sleep(3 * self._LEASE_TIMEOUT)
+            return run_shard(spec, checkpoint_dir, checkpoint_every=checkpoint_every)
+
+        monkeypatch.setattr("repro.analysis.fabric.run_shard", slow_run_shard)
+        coordinator = FabricCoordinator(
+            _points(("baseline",)),
+            tmp_path,
+            chunk_size=32,
+            lease_timeout=self._LEASE_TIMEOUT,
+            max_failures=1,
         )
+        stop = threading.Event()
+
+        def expire_all_along():
+            while not stop.wait(0.01):
+                coordinator.queue.expire()
+
+        expirer = threading.Thread(target=expire_all_along, daemon=True)
+        expirer.start()
         try:
-            assert client.rpc({"op": "heartbeat", "lease": "x"}) == {
-                "ok": True, "echo": 1,
-            }
-            assert accepted
+            worker_loop(
+                _LocalClient(coordinator),
+                tmp_path,
+                worker="slow",
+                heartbeat_interval=heartbeat_interval,
+            )
         finally:
-            client.close()
-            listener.close()
-            thread.join(timeout=2.0)
+            stop.set()
+            expirer.join()
+        return coordinator
 
-    def test_rpc_raises_after_exhausting_retries(self):
-        listener = socket.create_server(("127.0.0.1", 0))
-        port = listener.getsockname()[1]
-        listener.close()  # nothing listens here any more
-        client = FabricClient(
-            "127.0.0.1", port, timeout=0.2, retries=1, backoff_base=0.01, seed=0
-        )
-        with pytest.raises(ConnectionError, match="after 2 attempts"):
-            client.rpc({"op": "lease"})
+    def test_heartbeat_keeps_a_long_shard_leased(self, tmp_path, monkeypatch):
+        expected = run_sweep(_points(("baseline",)), transport="inprocess")
+        coordinator = self._run_slow_shard(tmp_path, monkeypatch, 0.01)
+        assert coordinator.queue.error is None
+        assert coordinator.queue.counts()["done"] == 1
+        assert [o.digest for o in coordinator.outcomes()] == [
+            o.digest for o in expected
+        ]
+
+    def test_silent_worker_loses_its_lease(self, tmp_path, monkeypatch):
+        # Without heartbeats the same shard looks like a lost worker: its
+        # lease lapses, and its late result is refused because the shard
+        # already failed.
+        coordinator = self._run_slow_shard(tmp_path, monkeypatch, None)
+        assert "lost its lease 1 times" in coordinator.queue.error
+        assert coordinator.queue.counts()["failed"] == 1
+        with pytest.raises(RuntimeError, match="lost its lease"):
+            coordinator.outcomes()
 
 
 class TestWorkerKillResume:
@@ -190,15 +199,18 @@ class TestWorkerKillResume:
         assert reference.final
         # A worker process that SIGKILLs itself the moment the first
         # mid-slab checkpoint lands — a crash with the shard part-done.
+        # The victim derives the same spec from the same point parameters, as
+        # every fabric worker does; the lineage-addressed checkpoint path
+        # below only matches if the two specs are identical.
         work_dir = tmp_path / "work"
         work_dir.mkdir()
-        spec_file = tmp_path / "spec.json"
-        spec_file.write_text(json.dumps(spec.as_dict()))
         driver = (
-            "import json, os, signal, sys, threading, time\n"
+            "import os, signal, sys, threading, time\n"
             f"sys.path.insert(0, {_SRC!r})\n"
-            "from repro.analysis.shard import ShardSpec, checkpoint_path, run_shard\n"
-            f"spec = ShardSpec.from_dict(json.loads(open({str(spec_file)!r}).read()))\n"
+            "from repro.analysis.parallel import SweepPoint\n"
+            "from repro.analysis.shard import checkpoint_path, derive_shards, run_shard\n"
+            f"point = SweepPoint(scheduler='least-load', **{_WORKLOAD!r})\n"
+            "spec = derive_shards([point], chunk_size=8)[0]\n"
             f"ckpt = checkpoint_path({str(work_dir)!r}, spec)\n"
             "def kill_on_first_checkpoint():\n"
             "    while not ckpt.exists():\n"
@@ -225,16 +237,19 @@ class TestWorkerKillResume:
 class TestFabricSweep:
     @pytest.fixture(scope="class")
     def reference(self):
+        # One unsharded fused pass on the serial reference transport.
         points = _points(("baseline", "least-load", "round-robin"))
-        outcomes = run_sweep(points, workers=1, fused=True)
+        outcomes = run_sweep(
+            points, transport="inprocess", policies_per_shard=len(points)
+        )
         return points, {i: o.digest for i, o in enumerate(outcomes)}
 
-    @pytest.mark.parametrize("transport", ["inprocess", "process", "tcp"])
+    @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_transports_match_fused_single_box(self, transport, reference, tmp_path):
         points, expected = reference
-        outcomes = run_fabric_sweep(
+        outcomes = run_sweep(
             points,
-            workers=2,
+            workers=1 if transport == "inprocess" else 2,
             transport=transport,
             chunks_per_slab=2,
             chunk_size=32,
@@ -245,16 +260,57 @@ class TestFabricSweep:
         assert not list(tmp_path.glob("shard-*.ckpt"))  # cleaned up
 
     def test_run_sweep_transport_delegation(self, reference):
+        # The package-level run_sweep is the fabric, on the process
+        # transport unless told otherwise.
         points, expected = reference
-        outcomes = run_sweep(points, workers=2, transport="inprocess", chunk_size=32)
+        assert repro.analysis.run_sweep is run_sweep
+        assert TRANSPORTS == ("inprocess", "process")
+        outcomes = run_sweep(points, workers=2, chunk_size=32)
         assert {i: o.digest for i, o in enumerate(outcomes)} == expected
-        with pytest.raises(TypeError, match="fabric options"):
-            run_sweep(points, chunks_per_slab=2)
+        with pytest.raises(ValueError, match="one worker"):
+            run_sweep(points, workers=2, transport="inprocess")
         with pytest.raises(ValueError, match="transport must be one of"):
-            run_fabric_sweep(points, transport="carrier-pigeon")
+            run_sweep(points, transport="tcp")
 
     def test_empty_sweep(self):
-        assert run_fabric_sweep([], transport="inprocess") == []
+        assert run_sweep([], transport="inprocess") == []
+
+    def test_inprocess_reference_outlives_a_short_lease_timeout(self, reference):
+        # The serial reference runs its one worker on the calling thread, so
+        # nothing can lease a shard from under it: a lease timeout far
+        # shorter than any shard still completes the sweep exactly.
+        points, expected = reference
+        outcomes = run_sweep(
+            points,
+            transport="inprocess",
+            chunks_per_slab=2,
+            chunk_size=32,
+            lease_timeout=0.001,
+        )
+        assert {i: o.digest for i, o in enumerate(outcomes)} == expected
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_failing_cell_aborts_the_sweep(self, transport, tmp_path):
+        # A cell that raises inside its worker aborts the sweep with the
+        # worker's error after max_failures attempts, on either transport,
+        # and leaves neither checkpoints nor worker processes behind.
+        points = _points(("baseline",)) + [
+            SweepPoint(
+                scheduler="baseline", scheduler_kwargs=(("bogus", 1),), **_WORKLOAD
+            )
+        ]
+        children = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match="failed 2 times: TypeError"):
+            run_sweep(
+                points,
+                workers=1 if transport == "inprocess" else 2,
+                transport=transport,
+                chunk_size=32,
+                checkpoint_dir=tmp_path,
+                max_failures=2,
+            )
+        assert not list(tmp_path.glob("shard-*.ckpt"))
+        assert set(multiprocessing.active_children()) <= children
 
     def test_failing_shard_poisons_the_sweep(self, tmp_path, monkeypatch):
         # A shard that always raises must abort the sweep with the worker's

@@ -1,18 +1,17 @@
-"""Tests for the parallel sweep runner: determinism and worker invariance."""
-
-import dataclasses
+"""Tests for sweep points and ``run_sweep``: determinism and worker invariance."""
 
 import pytest
 
+from repro.analysis import run_sweep
 from repro.analysis.parallel import (
     SweepPoint,
+    _run_point,
     derive_seed,
     expand_grid,
-    run_sweep,
 )
 
-# Small enough that the whole module stays in the seconds range even with a
-# process pool on a single-core machine.
+# Small enough that the whole module stays in the seconds range even with
+# worker processes on a single-core machine.
 TINY = dict(rate_per_hour=30.0, duration_days=0.1, servers_per_region=10)
 
 
@@ -58,8 +57,6 @@ class TestGridExpansion:
     def test_invalid_point_values_rejected(self):
         with pytest.raises(ValueError, match="trace_kind"):
             SweepPoint(trace_kind="nonexistent")
-        with pytest.raises(ValueError, match="engine"):
-            SweepPoint(engine="gpu")
 
     def test_scenario_trace_kinds_are_valid(self):
         point = SweepPoint(trace_kind="heavy-tail")
@@ -93,7 +90,7 @@ class TestDeterministicSeeding:
         # compare different workloads.
         points = tiny_points()
         assert len({p.seed for p in points}) == 1
-        outcomes = run_sweep(points, executor="serial")
+        outcomes = run_sweep(points, transport="inprocess")
         assert len({o.num_jobs for o in outcomes}) == 1  # literally the same trace
         # Baseline ignores the tolerance, so its two cells are identical runs.
         by_key = {(o.point.scheduler, o.point.delay_tolerance): o for o in outcomes}
@@ -128,34 +125,37 @@ class TestDeterministicSeeding:
 class TestRunSweep:
     def test_serial_results_in_input_order(self):
         points = tiny_points()
-        outcomes = run_sweep(points, executor="serial")
+        outcomes = run_sweep(points, transport="inprocess")
         assert [o.point for o in outcomes] == points
         assert all(o.num_jobs > 0 for o in outcomes)
         assert all(o.total_carbon_g > 0.0 for o in outcomes)
+        assert all(o.digest is not None for o in outcomes)
 
-    def test_worker_count_invariance_with_threads(self):
+    def test_worker_count_invariance_across_transports(self):
+        # The serial in-process reference against worker processes: same
+        # summaries, same totals, same digests.
         points = tiny_points()
-        one = run_sweep(points, workers=1, executor="thread")
-        many = run_sweep(points, workers=4, executor="thread")
+        one = run_sweep(points, transport="inprocess")
+        many = run_sweep(points, workers=2, transport="process")
         assert [stable_summary(o) for o in one] == [stable_summary(o) for o in many]
         assert [o.total_carbon_g for o in one] == [o.total_carbon_g for o in many]
         assert [o.total_water_l for o in one] == [o.total_water_l for o in many]
+        assert [o.digest for o in one] == [o.digest for o in many]
 
     def test_worker_count_invariance_with_processes(self):
-        # Two points keep the spawn cost tolerable on tiny CI machines while
-        # still exercising real cross-process determinism (seeded datasets
-        # must not depend on per-process state such as hash randomization).
+        # Real cross-process determinism at two worker counts (seeded
+        # datasets must not depend on per-process state such as hash
+        # randomization).
         points = tiny_points()[:2]
-        serial = run_sweep(points, executor="serial")
-        procs = run_sweep(points, workers=2, executor="process")
-        assert [stable_summary(o) for o in serial] == [stable_summary(o) for o in procs]
-        assert [o.total_carbon_g for o in serial] == [o.total_carbon_g for o in procs]
+        single = run_sweep(points, workers=1, transport="process")
+        procs = run_sweep(points, workers=2, transport="process")
+        assert [stable_summary(o) for o in single] == [stable_summary(o) for o in procs]
+        assert [o.total_carbon_g for o in single] == [o.total_carbon_g for o in procs]
 
     def test_batch_and_scalar_engines_agree(self):
-        batch_points = expand_grid(scheduler=["baseline"], delay_tolerance=[0.25], **TINY)
-        scalar_points = [dataclasses.replace(p, engine="scalar") for p in batch_points]
-        batch_outcome = run_sweep(batch_points, executor="serial")[0]
-        scalar_outcome = run_sweep(scalar_points, executor="serial")[0]
+        point = expand_grid(scheduler=["baseline"], delay_tolerance=[0.25], **TINY)[0]
+        batch_outcome = _run_point(point)
+        scalar_outcome = _run_point(point, engine="scalar")
         assert batch_outcome.num_jobs == scalar_outcome.num_jobs
         assert batch_outcome.total_carbon_g == pytest.approx(
             scalar_outcome.total_carbon_g, rel=1e-9
@@ -163,17 +163,18 @@ class TestRunSweep:
         assert batch_outcome.total_water_l == pytest.approx(
             scalar_outcome.total_water_l, rel=1e-9
         )
+        with pytest.raises(ValueError, match="engine"):
+            _run_point(point, engine="stream")
 
     def test_stream_engine_agrees_with_batch(self):
-        # The bounded-memory sweep cells must report the same figures of
-        # merit as the materialized batch cells for the identical workload.
-        batch_points = expand_grid(
+        # The sweep's fused streaming shards must report the same figures of
+        # merit as the per-cell batch oracle for the identical workload.
+        points = expand_grid(
             scheduler=["baseline", "waterwise"], delay_tolerance=[0.25], **TINY
         )
-        stream_points = [dataclasses.replace(p, engine="stream") for p in batch_points]
         for batch_outcome, stream_outcome in zip(
-            run_sweep(batch_points, executor="serial"),
-            run_sweep(stream_points, executor="serial"),
+            [_run_point(point) for point in points],
+            run_sweep(points, transport="inprocess"),
         ):
             assert stream_outcome.num_jobs == batch_outcome.num_jobs
             assert stream_outcome.total_carbon_g == pytest.approx(
@@ -189,39 +190,56 @@ class TestRunSweep:
 
     def test_stream_engine_is_worker_invariant(self):
         points = expand_grid(
-            scheduler=["baseline", "round-robin"], delay_tolerance=[0.25],
-            engine="stream", **TINY,
+            scheduler=["baseline", "round-robin"], delay_tolerance=[0.25], **TINY,
         )
-        serial = run_sweep(points, executor="serial")
-        threaded = run_sweep(points, workers=2, executor="thread")
-        assert [stable_summary(o) for o in serial] == [stable_summary(o) for o in threaded]
+        serial = run_sweep(points, transport="inprocess")
+        fused = run_sweep(points, transport="inprocess", policies_per_shard=2)
+        procs = run_sweep(points, workers=2, transport="process")
+        assert [stable_summary(o) for o in serial] == [stable_summary(o) for o in procs]
+        assert [o.digest for o in serial] == [o.digest for o in fused]
+        assert [o.digest for o in serial] == [o.digest for o in procs]
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="executor"):
-            run_sweep([], executor="cluster")
+        with pytest.raises(ValueError, match="transport"):
+            run_sweep([], transport="cluster")
         with pytest.raises(ValueError, match="workers"):
             run_sweep([], workers=0)
+        with pytest.raises(ValueError, match="one worker"):
+            run_sweep(tiny_points(), workers=2, transport="inprocess")
 
 
 class TestWorkloadCacheSafety:
-    def test_mixed_workload_thread_sweep_is_deterministic(self):
-        # Regression: the per-worker workload cache must be thread-local —
-        # a shared slot let concurrent cells of *different* workloads read
-        # each other's trace mid-update.
+    def test_mixed_workload_sweep_is_deterministic(self):
+        # Shards of different workloads share one process's workload cache
+        # on the in-process transport and split it across workers on the
+        # process transport; neither may leak one workload into another.
         points = expand_grid(
             scheduler=["baseline", "least-load"],
             trace_kind=["borg", "alibaba", "diurnal"],
             rate_per_hour=30.0, duration_days=0.1, servers_per_region=10,
         )
-        serial = run_sweep(points, executor="serial")
-        for _ in range(3):
-            threaded = run_sweep(points, workers=6, executor="thread")
-            assert [stable_summary(o) for o in threaded] == [
-                stable_summary(o) for o in serial
-            ]
+        serial = run_sweep(points, transport="inprocess")
+        procs = run_sweep(points, workers=2, transport="process")
+        assert [stable_summary(o) for o in procs] == [
+            stable_summary(o) for o in serial
+        ]
+        assert [o.digest for o in procs] == [o.digest for o in serial]
+        oracle = [_run_point(point) for point in points]
+        assert [o.num_jobs for o in oracle] == [o.num_jobs for o in serial]
+
+    def test_policies_of_one_workload_share_one_source(self):
+        # Every policy of a workload gets the same seed and so the same
+        # cache key: its shards reuse one generated source.
+        from repro.analysis import parallel
+
+        first, second = expand_grid(scheduler=["baseline", "least-load"], **TINY)
+        assert parallel._workload_key(first) == parallel._workload_key(second)
+        assert parallel._point_source(first) is parallel._point_source(second)
+        other = expand_grid(scheduler="baseline", **{**TINY, "rate_per_hour": 31.0})[0]
+        assert parallel._point_source(other) is not parallel._point_source(first)
 
     def test_workload_cache_is_bounded_lru(self):
-        # A long sweep over many workloads must not grow the per-worker
+        # A long sweep over many workloads must not grow the process's
         # cache without limit: it is an LRU bounded to a few workloads.
         from repro.analysis import parallel
 
@@ -233,116 +251,10 @@ class TestWorkloadCacheSafety:
             servers_per_region=4,
         )
         assert len(points) == 10
-        run_sweep(points, executor="serial")
-        entries = parallel._workload_entries()
+        run_sweep(points, transport="inprocess")
+        entries = parallel._WORKLOAD_CACHE
         assert len(entries) <= parallel._WORKLOAD_CACHE_SIZE
         # Most-recently-used workload is retained (cache hit on re-run).
         last_key = parallel._workload_key(points[-1])
         cached_source = entries[last_key]["source"]
         assert parallel._point_source(points[-1]) is cached_source
-
-
-class TestSharedMemoryCleanup:
-    """Fused process sweeps must never strand /dev/shm segments."""
-
-    @staticmethod
-    def _recording_pack(created):
-        from repro.analysis import parallel
-
-        real_pack = parallel.pack_shared_workload
-
-        def spying_pack(source, chunk_size=8192):
-            shm, handle = real_pack(source, chunk_size=chunk_size)
-            created.append(shm.name)
-            return shm, handle
-
-        return spying_pack
-
-    @staticmethod
-    def _assert_unlinked(names):
-        from multiprocessing import shared_memory
-
-        assert names, "the sweep never reached the shm packing path"
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_failing_cell_leaves_no_stale_segments(self, monkeypatch):
-        from repro.analysis import parallel
-
-        # Two fused groups over two distinct workloads so the parent packs
-        # shm segments; the second group's policy does not exist, so its
-        # worker raises mid-sweep.
-        good = expand_grid(
-            scheduler=["baseline"], trace_kind="borg",
-            rate_per_hour=20.0, duration_days=0.05, servers_per_region=4,
-        )
-        bad = [dataclasses.replace(good[0], scheduler="no-such-policy",
-                                   trace_kind="alibaba")]
-        created = []
-        monkeypatch.setattr(
-            parallel, "pack_shared_workload", self._recording_pack(created)
-        )
-        with pytest.raises(Exception):
-            parallel.run_sweep(
-                good + bad, workers=2, executor="process", fused=True
-            )
-        self._assert_unlinked(created)
-
-    def test_successful_fused_sweep_unlinks_segments(self, monkeypatch):
-        from repro.analysis import parallel
-
-        points = expand_grid(
-            scheduler=["baseline"], trace_kind=["borg", "alibaba"],
-            rate_per_hour=20.0, duration_days=0.05, servers_per_region=4,
-        )
-        created = []
-        monkeypatch.setattr(
-            parallel, "pack_shared_workload", self._recording_pack(created)
-        )
-        outcomes = parallel.run_sweep(
-            points, workers=2, executor="process", fused=True
-        )
-        assert all(o.num_jobs > 0 for o in outcomes)
-        self._assert_unlinked(created)
-
-    def test_pack_failure_unlinks_its_own_segment(self, monkeypatch):
-        from multiprocessing import shared_memory
-
-        from repro.analysis.parallel import pack_shared_workload
-        from repro.traces.borg import BorgTraceGenerator
-
-        class ExplodingSource:
-            """Raises from a property read *after* the segment is created."""
-
-            def __init__(self):
-                self._inner = BorgTraceGenerator(
-                    rate_per_hour=20.0, duration_days=0.02, seed=1
-                )
-                self.name = "exploding"
-                self.seed = 1
-                self.label = None
-
-            def iter_chunks(self, chunk_size=None, skip_jobs=0):
-                return self._inner.iter_chunks(chunk_size, skip_jobs=skip_jobs)
-
-            @property
-            def horizon_s(self):
-                raise RuntimeError("metadata read failed")
-
-        created = []
-        real_shm = shared_memory.SharedMemory
-
-        def recording_shm(*args, **kwargs):
-            shm = real_shm(*args, **kwargs)
-            if kwargs.get("create"):
-                created.append(shm.name)
-            return shm
-
-        monkeypatch.setattr(shared_memory, "SharedMemory", recording_shm)
-        with pytest.raises(RuntimeError, match="metadata read failed"):
-            pack_shared_workload(ExplodingSource())
-        monkeypatch.undo()
-        assert len(created) == 1
-        with pytest.raises(FileNotFoundError):
-            real_shm(name=created[0])

@@ -2,17 +2,18 @@
 
 The end-to-end distributed == fused digest equality lives in the
 integration differential suite; this file covers the protocol mechanics:
-spec validation and JSON transport, deterministic lineage-addressed
+spec validation and identity, deterministic lineage-addressed
 checkpoint names, orphan identification, the three-way resume state machine
 of :func:`run_shard`, and :class:`MergeableAggregates` order independence.
 """
 
-import json
+import pickle
 import random
 
 import pytest
 
-from repro.analysis.parallel import SweepPoint, run_sweep
+from repro.analysis import run_sweep
+from repro.analysis.parallel import SweepPoint
 from repro.analysis.shard import (
     MergeableAggregates,
     ShardSpec,
@@ -22,9 +23,7 @@ from repro.analysis.shard import (
     run_shard,
 )
 
-_WORKLOAD = dict(
-    trace_kind="bursty", rate_per_hour=50.0, duration_days=0.1, engine="stream"
-)
+_WORKLOAD = dict(trace_kind="bursty", rate_per_hour=50.0, duration_days=0.1)
 
 
 def _points(policies=("baseline", "least-load"), **overrides):
@@ -57,14 +56,19 @@ class TestShardSpec:
         )
         assert other_chunking.lineage() != spec.lineage()
 
-    def test_json_round_trip(self):
+    def test_pickle_round_trip(self, tmp_path):
+        # The process transport hands specs to its workers through
+        # multiprocessing queues: a pickled spec must come back equal, with
+        # the same identity and so the same lineage checkpoint file.
         spec = ShardSpec(
             points=tuple(_points()), indices=(3, 7), chunk_size=64,
             chunk_start=4, max_chunks=2, slab=2,
         )
-        wire = json.loads(json.dumps(spec.as_dict()))
-        assert ShardSpec.from_dict(wire) == spec
-        assert ShardSpec.from_dict(wire).key() == spec.key()
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        assert clone.key() == spec.key()
+        assert clone.lineage() == spec.lineage()
+        assert checkpoint_path(tmp_path, clone) == checkpoint_path(tmp_path, spec)
 
 
 class TestDeriveShards:
@@ -144,7 +148,9 @@ class TestMergeableAggregates:
         points = _points(("baseline", "least-load", "round-robin"))
         reference = {
             i: outcome.digest
-            for i, outcome in enumerate(run_sweep(points, workers=1, fused=True))
+            for i, outcome in enumerate(
+                run_sweep(points, transport="inprocess", policies_per_shard=len(points))
+            )
         }
         shards = derive_shards(points, chunks_per_slab=2, chunk_size=16)
         results = []

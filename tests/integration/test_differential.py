@@ -23,7 +23,6 @@ fails here immediately.
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.cluster import BatchSimulator, MultiPolicyRunner, Simulator, StreamingSimulator
@@ -301,10 +300,10 @@ class TestRegistryWideEquivalence:
             assert [o.deferrals for o in ref] == [o.deferrals for o in arr]
 
     def test_fused_sweep_matches_per_cell_at_multiple_worker_counts(self):
-        # run_sweep(fused=True) must return outcomes element-wise equivalent
-        # to the per-cell fabric, for every executor/worker-count combination
-        # (including the shared-memory process path).
-        from repro.analysis.parallel import expand_grid, run_sweep
+        # run_sweep's fused shards must return outcomes element-wise
+        # equivalent to the per-cell batch oracle, on both transports.
+        from repro.analysis import run_sweep
+        from repro.analysis.parallel import _run_point, expand_grid
 
         points = expand_grid(
             scheduler=["baseline", "least-load", "waterwise"],
@@ -313,9 +312,9 @@ class TestRegistryWideEquivalence:
             rate_per_hour=30.0,
             duration_days=0.05,
         )
-        reference = run_sweep(points, executor="serial")
-        for workers, executor in ((1, "serial"), (2, "thread"), (2, "process")):
-            fused = run_sweep(points, workers=workers, executor=executor, fused=True)
+        reference = [_run_point(point) for point in points]
+        for workers, transport in ((1, "inprocess"), (2, "process")):
+            fused = run_sweep(points, workers=workers, transport=transport)
             assert [o.point for o in fused] == [o.point for o in reference]
             for ours, theirs in zip(fused, reference):
                 assert ours.num_jobs == theirs.num_jobs
@@ -331,13 +330,12 @@ class TestRegistryWideEquivalence:
     def test_distributed_sweep_digest_identical_registry_wide(self, tmp_path):
         # The shard fabric's exactness contract: a sweep over the ENTIRE
         # live scheduler registry, split into per-policy time-slab shards
-        # and run at several worker counts, must reassemble to outcomes
+        # and run on both transports, must reassemble to outcomes
         # digest-identical (StreamResult.digest — every aggregate, bit for
-        # bit) to the single-box fused run.  A policy whose results drift
+        # bit) to one unsharded fused pass.  A policy whose results drift
         # under sharding — or an accumulator whose merge() loses exactness —
         # fails here with zero new test code.
-        from repro.analysis.fabric import run_fabric_sweep
-        from repro.analysis.parallel import SweepPoint, run_sweep
+        from repro.analysis import SweepPoint, run_sweep
 
         points = [
             SweepPoint(
@@ -345,68 +343,26 @@ class TestRegistryWideEquivalence:
                 trace_kind="bursty",
                 rate_per_hour=_SCENARIO_RATES["bursty"],
                 duration_days=_DURATION_DAYS,
-                engine="stream",
                 seed=13,
             )
             for policy in available_schedulers()
         ]
-        reference = run_sweep(points, workers=1, fused=True)
+        reference = run_sweep(
+            points, transport="inprocess", policies_per_shard=len(points)
+        )
         expected = {i: outcome.digest for i, outcome in enumerate(reference)}
         assert all(digest is not None for digest in expected.values())
-        for workers in (1, 3):
-            outcomes = run_fabric_sweep(
+        for workers, transport in ((1, "inprocess"), (3, "process")):
+            outcomes = run_sweep(
                 points,
                 workers=workers,
-                transport="inprocess",
+                transport=transport,
                 chunks_per_slab=2,
                 chunk_size=64,
-                checkpoint_dir=tmp_path / f"w{workers}",
+                checkpoint_dir=tmp_path / transport,
             )
             assert [o.point for o in outcomes] == points
             assert {i: o.digest for i, o in enumerate(outcomes)} == expected
-
-    def test_shared_memory_chunks_roundtrip_byte_identical(self):
-        # Property test over chunk sizes: a workload packed into shared
-        # memory and re-streamed by an attached ColumnSource yields chunks
-        # whose every column is byte-identical to the generator's.
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        from repro.analysis.parallel import (
-            _close_all_shared_attachments,
-            attach_shared_workload,
-            pack_shared_workload,
-        )
-        from repro.traces.stream import CHUNK_COLUMNS
-
-        source = get_scenario("bursty").source(
-            seed=13, rate_per_hour=_SCENARIO_RATES["bursty"], duration_days=0.05
-        )
-        shm, handle = pack_shared_workload(source)
-        try:
-            attached = attach_shared_workload(handle)
-
-            @settings(max_examples=12, deadline=None)
-            @given(chunk_size=st.integers(min_value=1, max_value=80))
-            def roundtrip(chunk_size):
-                originals = list(source.iter_chunks(chunk_size))
-                copies = list(attached.iter_chunks(chunk_size))
-                assert len(originals) == len(copies)
-                for original, copy in zip(originals, copies):
-                    assert original.region_keys == copy.region_keys
-                    assert original.workload_names == copy.workload_names
-                    for field in CHUNK_COLUMNS:
-                        ours = np.asarray(getattr(copy, field))
-                        theirs = np.asarray(getattr(original, field))
-                        assert ours.dtype == theirs.dtype, field
-                        assert ours.tobytes() == theirs.tobytes(), field
-
-            roundtrip()
-            assert attached.trace_name == source.trace_name
-        finally:
-            _close_all_shared_attachments()
-            shm.close()
-            shm.unlink()
 
     def test_sustainability_policies_use_fast_paths(self):
         # Guard the point of this PR: the paper's core policies no longer

@@ -52,6 +52,31 @@ class TestFixedVariableElimination:
         x = pre.postsolve(np.array([0.75]))
         assert x == pytest.approx([2.5, 0.75])
 
+    def test_continuous_column_collapsed_by_tightening_is_kept(self):
+        # x + y = 2 inside the unit box forces x = y = 1 by tightening alone.
+        # Only integer columns and columns fixed on input are substituted
+        # out; these continuous ones stay for the solver to settle.
+        form = _form(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[2.0], upper=[1.0, 1.0])
+        pre = presolve(form)
+        assert not pre.infeasible
+        assert list(pre.kept_cols) == [0, 1]
+        assert pre.lower == pytest.approx([1.0, 1.0])
+        status, x, objective, *_ = solve_standard_form(form, solver="native")
+        assert status is SolveStatus.OPTIMAL
+        assert x == pytest.approx([1.0, 1.0])
+        assert objective == pytest.approx(2.0)
+
+    def test_integer_column_collapsed_by_tightening_is_eliminated(self):
+        form = _form(
+            c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[2.0], upper=[1.0, 1.0],
+            integrality=[True, True],
+        )
+        pre = presolve(form)
+        assert not pre.infeasible
+        assert pre.num_variables == 0
+        assert pre.c0 == pytest.approx(2.0)
+        assert pre.postsolve(np.zeros(0)) == pytest.approx([1.0, 1.0])
+
     def test_everything_fixed_solves_in_dispatch(self):
         form = _form(c=[1.0, -1.0], lower=[2.0, 3.0], upper=[2.0, 3.0])
         status, x, objective, _it, _nodes, solver, _t = solve_standard_form(
@@ -69,6 +94,19 @@ class TestBoundTightening:
         form = _form(c=[-1.0, 0.0], a_ub=[[2.0, 1.0]], b_ub=[4.0])
         pre = presolve(form)
         assert pre.stats.bounds_tightened >= 1
+
+    def test_narrow_continuous_box_is_left_alone(self):
+        # 1000 x <= 1e-6 implies x <= 1e-9.  A box of width 1e-8 already pins
+        # x (narrower than 1e-7 relative), so presolve does not shrink it
+        # further; the same row does tighten a wide or unbounded box.
+        row = dict(c=[1.0], a_ub=[[1000.0]], b_ub=[1e-6])
+        narrow = presolve(_form(upper=[1e-8], **row))
+        assert narrow.stats.bounds_tightened == 0
+        assert narrow.upper[0] == 1e-8
+        for upper in (1.0, np.inf):
+            wide = presolve(_form(upper=[upper], **row))
+            assert wide.stats.bounds_tightened == 1
+            assert wide.upper == pytest.approx([1e-9], rel=1e-12)
 
     def test_integer_rounding_fixes_binary(self):
         # 0.8 x <= 0.5 for binary x implies x <= 0.625 → x = 0 after rounding.

@@ -137,6 +137,16 @@ class TestRandomProblems:
 
     @settings(**_SETTINGS)
     @given(form=lp_instances())
+    # Feasible at x ≈ (-0.4194, 0.9280), optimum 0.63056: the equality rows
+    # shrink both boxes around that point until fixing x2 at a bound 8e-10
+    # off (amplified 15x by the second row) made presolve report infeasible.
+    @example(form=StandardForm(
+        variables=(), c=np.array([-1.57, -0.03]), c0=0.0,
+        a_ub=np.array([[-0.88, -0.6]]), b_ub=np.array([0.12]),
+        a_eq=np.array([[0.9, 0.73], [0.13, 2.02]]), b_eq=np.array([0.3, 1.82]),
+        lower=np.array([-1.45, -1.38]), upper=np.array([0.13, 1.67]),
+        integrality=np.array([False, False]), maximize=False,
+    ))
     def test_presolve_preserves_the_optimum(self, form):
         pre = presolve(form)
         reference = solve_form_scipy(form)

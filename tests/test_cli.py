@@ -276,3 +276,44 @@ class TestServiceCli:
         out = capsys.readouterr().out
         assert "serving   : 127.0.0.1:" in out
         assert "12 jobs placed over TCP" in out
+
+
+class TestSweepCli:
+    WORKLOAD = [
+        "sweep", "--policies", "baseline", "least-load", "--trace", "bursty",
+        "--jobs-per-hour", "30", "--hours", "3", "--seeds", "3",
+        "--chunk-size", "64",
+    ]
+
+    def test_transports_report_equal_digests(self, capsys, tmp_path):
+        import json
+
+        assert build_parser().parse_args(["sweep"]).transport == "process"
+        runs = {
+            "inprocess": ["--transport", "inprocess"],
+            "process": ["--transport", "process", "--workers", "2"],
+            "default": [],
+        }
+        digests = {}
+        for name, flags in runs.items():
+            report = tmp_path / f"{name}.json"
+            assert main(self.WORKLOAD + flags + ["--report", str(report)]) == 0
+            out = capsys.readouterr().out
+            transport = "process" if name == "default" else name
+            assert f"2 cells (fabric/{transport})" in out
+            outcomes = json.loads(report.read_text())["outcomes"]
+            assert [o["scheduler"] for o in outcomes] == ["baseline", "least-load"]
+            digests[name] = [o["digest"] for o in outcomes]
+        assert all(d is not None for d in digests["inprocess"])
+        assert digests["inprocess"] == digests["process"] == digests["default"]
+
+    def test_removed_sweep_paths_are_usage_errors(self, capsys):
+        for argv in (
+            ["shard-worker", "--connect", "127.0.0.1:1", "--checkpoint-dir", "."],
+            ["sweep", "--fused"],
+            ["sweep", "--transport", "tcp"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
+            assert capsys.readouterr().err

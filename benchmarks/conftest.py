@@ -1,10 +1,14 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper harness.
 
-Every benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md §4 for the full index) and prints the reproduced table.  Because
+Every script regenerates one of the paper's tables or figures, prints the
+reproduced table and asserts the paper's qualitative finding on it.  Because
 these are trace-driven simulations rather than micro-kernels, each experiment
-is executed exactly once per benchmark run (``benchmark.pedantic`` with one
-round); the recorded time is the end-to-end cost of reproducing that figure.
+runs exactly once; the printed wall time is the end-to-end cost of
+reproducing that figure.  pytest does not collect ``bench_*`` files by
+default, so run the harness with::
+
+    PYTHONPATH=src python -m pytest benchmarks -o python_files='bench_*.py' \\
+        -o python_functions='bench_*'
 
 The experiment scale is controlled with the ``REPRO_BENCH_SCALE`` environment
 variable:
@@ -22,6 +26,7 @@ variable:
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -53,18 +58,21 @@ _RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
 @pytest.fixture
-def run_experiment(benchmark):
-    """Run an experiment function once under the benchmark timer and report it.
+def run_experiment():
+    """Run an experiment function once, time it and report it.
 
-    The reproduced table is printed (visible with ``pytest -s``) and also
-    written to ``benchmarks/results/<experiment>.txt`` so the output survives
-    pytest's output capturing.  Returns the experiment's result object so the
+    The reproduced table and its wall time are printed (visible with
+    ``pytest -s``) and the table is also written to
+    ``benchmarks/results/<experiment>.txt`` so the output survives pytest's
+    output capturing.  Returns the experiment's result object so the
     calling benchmark can make shape assertions against the paper's
     qualitative findings.
     """
 
     def _run(func, *args, **kwargs):
-        result = benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
+        started = time.perf_counter()
+        result = func(*args, **kwargs)
+        wall_s = time.perf_counter() - started
         reports = result if isinstance(result, tuple) else (result,)
         os.makedirs(_RESULTS_DIR, exist_ok=True)
         for report in reports:
@@ -73,6 +81,7 @@ def run_experiment(benchmark):
             path = os.path.join(_RESULTS_DIR, f"{report.experiment}.txt")
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(report.report() + "\n")
+        print(f"{func.__name__}: {wall_s:.2f} s")
         return result
 
     return _run

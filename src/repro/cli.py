@@ -13,7 +13,7 @@ Sub-commands
     Generate a Borg-like (or Alibaba-like) trace — or a named scenario from
     the workload library via ``--scenario`` — run the requested policies
     under identical conditions and print totals and savings versus the
-    baseline.  ``--stream`` runs the bounded-memory streaming engine
+    baseline.  ``--engine stream`` runs the bounded-memory streaming engine
     (``--chunk-size`` jobs at a time) instead of materializing the trace.
     ``--chaos`` injects a deterministic fault timeline (region outages,
     autoscaling, capacity flaps, carbon/water spikes, forecast error) — a
@@ -125,10 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
              "stays O(chunk + active jobs)), fused = one-pass multi-policy "
              "streaming (the workload is generated and columnized once for "
              "ALL policies; identical decisions); default: scalar",
-    )
-    simulate.add_argument(
-        "--stream", action="store_true",
-        help="shorthand for --engine stream",
     )
     simulate.add_argument(
         "--chunk-size", type=int, default=None,
@@ -321,10 +317,6 @@ def _resolve_chaos(args: argparse.Namespace) -> tuple[str | None, int]:
 
 def _resolve_engine(args: argparse.Namespace, chaos: str | None = None) -> tuple[str, int]:
     """(engine, chunk_size) for ``simulate``, rejecting conflicting flags."""
-    if args.stream and args.engine not in (None, "stream"):
-        raise SystemExit(
-            f"--stream conflicts with --engine {args.engine}; pick one"
-        )
     default = "scalar"
     if chaos is not None:
         # Chaos timelines run on the array engines only (the batch engine's
@@ -335,7 +327,7 @@ def _resolve_engine(args: argparse.Namespace, chaos: str | None = None) -> tuple
                 "--engine batch/stream/fused"
             )
         default = "batch"
-    engine = "stream" if args.stream else (args.engine or default)
+    engine = args.engine or default
     if args.chunk_size is not None and engine not in ("stream", "fused"):
         raise SystemExit(
             "--chunk-size requires a chunked engine (--engine stream/fused)"

@@ -9,8 +9,8 @@ it through :func:`repro.milp.solver.solve_standard_form` from both its scalar
 (``decide``) and batch (``decide_arrays``) entry points, so the two engines
 share the same reuse machinery.
 
-The session also aggregates the counters the solver microbenchmark reports
-(`BENCH_solver.json`): presolve reduction ratios, warm-start hit rates and
+The session also aggregates solver counters, exposed as
+``result.solver_stats``: presolve reduction ratios, warm-start hit rates and
 iteration counts, and how often the structured placement path short-circuited
 branch & bound.
 """

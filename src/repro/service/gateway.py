@@ -269,7 +269,11 @@ class AdmissionGateway:
         return await future
 
     async def checkpoint(self, path, extra: dict | None = None) -> None:
-        """Checkpoint the live session between admissions (format 3 path)."""
+        """Checkpoint the live session between admissions (format 3 path).
+
+        An ``OSError`` from writing ``path`` is raised here and the gateway
+        keeps serving; any other failure poisons it, like an admission error.
+        """
         self._ensure_open()
         future = asyncio.get_running_loop().create_future()
         await self._queue.put(_Request("checkpoint", (path, extra), future))
@@ -405,6 +409,7 @@ class AdmissionGateway:
 
     async def _loop(self) -> None:
         engine = self.engine
+        request = None
         try:
             while True:
                 # Self-tick while requests are outstanding and the queue is
@@ -434,7 +439,13 @@ class AdmissionGateway:
                     request.future.set_result(count)
                 elif request.kind == "checkpoint":
                     path, extra = request.payload
-                    engine.save_checkpoint(path, extra=extra)
+                    try:
+                        engine.save_checkpoint(path, extra=extra)
+                    except OSError as error:
+                        # An unwritable path fails this request only: saving
+                        # changes no engine state and leaves no temp file.
+                        request.future.set_exception(error)
+                        continue
                     self._checkpoints += 1
                     request.future.set_result(None)
                 elif request.kind == "finalize":
@@ -446,11 +457,14 @@ class AdmissionGateway:
             raise
         except BaseException as error:
             # The engine's state is suspect after an admission error: fail
-            # every waiter and poison the gateway so submits stop cleanly.
+            # every waiter, the request in flight and the queued ones, and
+            # poison the gateway so submits stop cleanly.
             self._failure = error
             self._fail_waiters(error)
+            stale = [request] if request is not None else []
             while not self._queue.empty():
-                stale = self._queue.get_nowait()
-                if stale.future is not None and not stale.future.done():
-                    stale.future.set_exception(error)
+                stale.append(self._queue.get_nowait())
+            for pending in stale:
+                if pending.future is not None and not pending.future.done():
+                    pending.future.set_exception(error)
             raise

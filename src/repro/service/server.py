@@ -77,7 +77,7 @@ class AdmissionServer:
             energy_kwh=float(payload["energy_kwh"]),
             home_region=str(payload["home_region"]),
             package_gb=float(payload.get("package_gb", 1.0)),
-            servers_required=int(payload.get("servers_required", 1)),
+            servers_required=payload.get("servers_required", 1),
         )
 
     async def _dispatch(self, request: dict) -> dict:
@@ -113,7 +113,7 @@ class AdmissionServer:
                 try:
                     request = json.loads(line)
                     response = await self._dispatch(request)
-                except (KeyError, ValueError, TypeError, RuntimeError) as error:
+                except (KeyError, ValueError, TypeError, RuntimeError, OSError) as error:
                     response = {"ok": False, "error": f"{type(error).__name__}: {error}"}
                 writer.write(json.dumps(response).encode() + b"\n")
                 await writer.drain()

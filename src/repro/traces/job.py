@@ -71,8 +71,10 @@ class Job:
         ensure_positive(self.execution_time, "execution_time")
         ensure_positive(self.energy_kwh, "energy_kwh")
         ensure_non_negative(self.package_gb, "package_gb")
-        if self.servers_required < 1:
-            raise ValueError("servers_required must be >= 1")
+        if self.servers_required < 1 or self.servers_required % 1:
+            raise ValueError(
+                f"servers_required must be a whole number >= 1, got {self.servers_required!r}"
+            )
         if self.true_execution_time is not None:
             ensure_positive(self.true_execution_time, "true_execution_time")
         if self.true_energy_kwh is not None:

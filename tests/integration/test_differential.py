@@ -492,6 +492,18 @@ class TestChaosDifferential:
             source, _policy_factory(policy)(), chunk_size=16, **kwargs
         ).run()
         assert streamed.digest() == vector.digest(), policy
+        # The bounded-memory collector keeps no per-job columns, so it is
+        # held to the one-shot totals instead of the digest.
+        aggregate = StreamingSimulator(
+            source, _policy_factory(policy)(), chunk_size=16, collect="aggregate",
+            **kwargs,
+        ).run()
+        assert aggregate.num_jobs == vector.num_jobs, policy
+        assert aggregate.total_evictions == vector.total_evictions, policy
+        for total in ("total_carbon_kg", "total_water_m3", "mean_service_ratio"):
+            assert getattr(aggregate, total) == pytest.approx(
+                getattr(vector, total), rel=1e-9
+            ), (policy, total)
 
     def test_static_runs_are_unchanged_by_chaos_plumbing(self, dataset, scenario_traces):
         # chaos=None must be byte-identical to a pre-chaos engine: same

@@ -398,3 +398,40 @@ class TestCheckpoint:
         payload = StreamingSimulator.load_checkpoint(target)
         assert payload["extra"]["note"] == "mid-session"
         assert payload["state"].jobs_seen > 0
+
+    def test_unwritable_path_fails_only_that_request(self, source, dataset, tmp_path):
+        async def scenario():
+            engine = _engine(source, dataset)
+            gateway = await AdmissionGateway(engine).start()
+            chunks = source.iter_chunks(64)
+            await gateway.submit_nowait(next(chunks))
+            with pytest.raises(FileNotFoundError):
+                await asyncio.wait_for(
+                    gateway.checkpoint(tmp_path / "missing" / "live.ckpt"), timeout=5.0
+                )
+            # The gateway keeps serving: later batches and checkpoints go through.
+            futures = await gateway.submit_nowait(next(chunks))
+            await asyncio.wait_for(gateway.checkpoint(tmp_path / "live.ckpt"), timeout=5.0)
+            await asyncio.wait_for(gateway.close(), timeout=30.0)
+            return futures, gateway.stats()
+
+        futures, stats = asyncio.run(scenario())
+        assert stats.checkpoints == 1
+        assert all(future.done() and future.exception() is None for future in futures)
+        assert [path.name for path in tmp_path.iterdir()] == ["live.ckpt"]
+
+    def test_engine_fault_fails_request_in_flight(self, source, dataset, tmp_path):
+        def broken_save(path, extra=None):
+            raise RuntimeError("engine fault")
+
+        async def scenario():
+            engine = _engine(source, dataset)
+            engine.save_checkpoint = broken_save
+            gateway = await AdmissionGateway(engine).start()
+            await gateway.submit_nowait(next(source.iter_chunks(64)))
+            with pytest.raises(RuntimeError, match="engine fault"):
+                await asyncio.wait_for(gateway.checkpoint(tmp_path / "live.ckpt"), timeout=5.0)
+            with pytest.raises(RuntimeError, match="failed"):
+                await gateway.submit_nowait(_jobs(engine, 1, start_id=10_000))
+
+        asyncio.run(scenario())

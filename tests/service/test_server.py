@@ -99,7 +99,7 @@ class TestProtocol:
         payload = StreamingSimulator.load_checkpoint(target)
         assert payload["state"] is not None
 
-    def test_errors_reported_per_request(self, source, dataset):
+    def test_errors_reported_per_request(self, source, dataset, tmp_path):
         async def scenario():
             engine, server = await _start_server(source, dataset)
             serve = asyncio.ensure_future(server.serve_until_shutdown())
@@ -115,18 +115,34 @@ class TestProtocol:
                     "execution_time": 60.0, "energy_kwh": 0.1,
                 }]},
             )
-            # The connection (and the server) survives all three errors.
+            fractional = await _rpc(
+                reader, writer,
+                {"op": "submit", "jobs": [{
+                    "job_id": 3, "workload": "web-search", "home_region": engine._keys_tuple[0],
+                    "execution_time": 60.0, "energy_kwh": 0.1, "servers_required": 2.9,
+                }]},
+            )
+            await _rpc(reader, writer, {"op": "tick"})  # gives the session state to save
+            unwritable = await asyncio.wait_for(
+                _rpc(reader, writer, {
+                    "op": "checkpoint", "path": str(tmp_path / "missing" / "x.ckpt"),
+                }),
+                timeout=10.0,
+            )
+            # The connection (and the server) survives every error.
             stats = await _rpc(reader, writer, {"op": "stats"})
             await _rpc(reader, writer, {"op": "shutdown"})
             await serve
             writer.close()
             await server.stop()
-            return unknown, missing, bad_region, stats
+            return unknown, missing, bad_region, fractional, unwritable, stats
 
-        unknown, missing, bad_region, stats = asyncio.run(scenario())
+        unknown, missing, bad_region, fractional, unwritable, stats = asyncio.run(scenario())
         assert not unknown["ok"] and "transmogrify" in unknown["error"]
         assert not missing["ok"] and "KeyError" in missing["error"]
         assert not bad_region["ok"] and "atlantis" in bad_region["error"]
+        assert not fractional["ok"] and "servers_required" in fractional["error"]
+        assert not unwritable["ok"] and "FileNotFoundError" in unwritable["error"]
         assert stats["ok"] and stats["stats"]["decided"] == 0
 
     def test_ephemeral_port_resolved(self, source, dataset):

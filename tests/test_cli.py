@@ -116,7 +116,7 @@ class TestStreamingCli:
         ]
         assert main(common + ["--engine", "batch"]) == 0
         batch_out = capsys.readouterr().out
-        assert main(common + ["--stream", "--chunk-size", "64"]) == 0
+        assert main(common + ["--engine", "stream", "--chunk-size", "64"]) == 0
         stream_out = capsys.readouterr().out
         # Identical totals/savings tables; only the trace header differs.
         assert stream_out.splitlines()[1:] == batch_out.splitlines()[1:]
@@ -171,7 +171,7 @@ class TestStreamingCli:
             "--seed", "4",
         ]
         assert main([
-            "simulate", *workload, "--policies", "waterwise", "--stream",
+            "simulate", *workload, "--policies", "waterwise", "--engine", "stream",
             "--chunk-size", "32",
         ]) == 0
         direct = capsys.readouterr().out
@@ -190,21 +190,8 @@ class TestStreamingCli:
         totals_row = next(l for l in resumed.splitlines() if l.startswith("waterwise"))
         assert totals_row in direct
 
-    def test_engine_stream_equals_stream_flag(self, capsys):
-        common = [
-            "simulate", "--policies", "baseline", "--scenario", "diurnal",
-            "--jobs-per-hour", "20", "--hours", "2", "--seed", "1",
-        ]
-        assert main(common + ["--engine", "stream"]) == 0
-        via_engine = capsys.readouterr().out
-        assert main(common + ["--stream"]) == 0
-        via_flag = capsys.readouterr().out
-        assert via_engine == via_flag
-
     def test_conflicting_engine_flags_rejected(self):
         base = ["simulate", "--policies", "baseline", "--jobs-per-hour", "5", "--hours", "1"]
-        with pytest.raises(SystemExit, match="--stream conflicts"):
-            main(base + ["--engine", "batch", "--stream"])
         with pytest.raises(SystemExit, match="--chunk-size requires"):
             main(base + ["--engine", "batch", "--chunk-size", "64"])
 
@@ -253,7 +240,7 @@ class TestServiceCli:
         # streaming engine prints for the same workload and policy.
         assert main([
             "simulate", *self.WORKLOAD, "--policies", "waterwise",
-            "--stream", "--chunk-size", "64",
+            "--engine", "stream", "--chunk-size", "64",
         ]) == 0
         simulate_out = capsys.readouterr().out
         assert main([
@@ -312,6 +299,7 @@ class TestSweepCli:
             ["shard-worker", "--connect", "127.0.0.1:1", "--checkpoint-dir", "."],
             ["sweep", "--fused"],
             ["sweep", "--transport", "tcp"],
+            ["simulate", "--stream"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)

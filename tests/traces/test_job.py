@@ -42,6 +42,7 @@ class TestJobValidation:
             ("energy_kwh", -0.1),
             ("package_gb", -1.0),
             ("servers_required", 0),
+            ("servers_required", 2.9),
             ("true_execution_time", 0.0),
             ("true_energy_kwh", -1.0),
         ],

@@ -7,8 +7,8 @@ top of them.  The most commonly used entry points are re-exported here.
 Subpackages
 -----------
 ``repro.milp``
-    MILP modeling layer and solvers (native simplex + branch & bound, and a
-    SciPy/HiGHS backend).
+    MILP array form and exact solvers (native revised simplex + branch &
+    bound, a structure-aware placement path, and a SciPy/HiGHS backend).
 ``repro.sustainability``
     Carbon and water footprint models, energy-source catalog, grid-mix model,
     WUE/WSF data, and synthetic dataset providers.

@@ -663,6 +663,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 0
         result = await server.serve_until_shutdown()
         await server.stop()
+        if result is None:
+            print("\nshutdown  : the admission gateway failed; no session result")
+            return 1
         print(f"\nshutdown  : session finalized after {result.num_jobs} jobs\n")
         _print_stream_summary(result)
         return 0

@@ -7,13 +7,15 @@ This package implements the paper's primary contribution (Sec. 4):
 * :mod:`repro.core.history` — the history learner providing the per-region
   reference terms :math:`CO^{ref}_{2,n}` / :math:`H_2O^{ref}_n`,
 * :mod:`repro.core.slack` — the slack manager and its urgency score (Eq. 14),
-* :mod:`repro.core.objective` — construction of the placement MILP
-  (objective Eq. 8/12, constraints Eq. 9–11/13),
+* :mod:`repro.core.objective` — the one builder of the placement MILP
+  (objective Eq. 8/12, constraints Eq. 9–11/13), in array form,
 * :mod:`repro.core.decision` — the Optimization Decision Controller that
   solves the MILP (hard constraints first, soft-constraint retry on
   infeasibility) and extracts assignments,
 * :mod:`repro.core.waterwise` — the :class:`WaterWiseScheduler` policy that
-  ties everything together following the paper's Algorithm 1.
+  ties everything together following the paper's Algorithm 1,
+* :mod:`repro.core.fastpath` — the same policy over the batch engine's job
+  columns, decision-identical to the scalar scheduler.
 
 Importing this package registers ``"waterwise"`` with
 :func:`repro.schedulers.registry.make_scheduler`.
@@ -23,7 +25,6 @@ from repro.core.config import WaterWiseConfig
 from repro.core.cost import CostAwareWaterWiseScheduler, CostModel, ElectricityPriceTable
 from repro.core.decision import ControllerResult, DecisionController
 from repro.core.history import HistoryLearner
-from repro.core.objective import build_placement_problem
 from repro.core.slack import SlackManager
 from repro.core.waterwise import WaterWiseScheduler
 
@@ -42,5 +43,4 @@ __all__ = [
     "SlackManager",
     "WaterWiseConfig",
     "WaterWiseScheduler",
-    "build_placement_problem",
 ]

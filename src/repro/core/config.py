@@ -38,15 +38,6 @@ class WaterWiseConfig:
         matrix; ``"auto"`` already prefers the structured placement path).
     solver_time_limit_s:
         Optional per-round wall-clock limit handed to the solver.
-    decision_pipeline:
-        How the scalar controller assembles and solves the round MILP:
-        ``"array"`` (default) computes the cost/latency/tolerance matrices
-        vectorized and builds the MILP directly in standard form — the same
-        code path the batch engines' fast path uses; ``"object"`` keeps the
-        original ``Variable``/``Constraint`` object model and the per-job
-        slack loop.  Both are decision-identical (the differential harness
-        compares them); the object pipeline is retained as the readable
-        reference and the benchmark baseline.
     use_history:
         Disables the history learner when False (ablation hook).
     use_slack_manager:
@@ -65,7 +56,6 @@ class WaterWiseConfig:
     penalty_weight: float = 10.0
     solver: str = "auto"
     solver_time_limit_s: float | None = None
-    decision_pipeline: str = "array"
     use_history: bool = True
     use_slack_manager: bool = True
     use_soft_constraints: bool = True
@@ -77,7 +67,6 @@ class WaterWiseConfig:
             raise ValueError("history_window must be >= 1")
         ensure_non_negative(self.penalty_weight, "penalty_weight")
         ensure_one_of(self.solver, ("auto", "scipy", "native", "structured"), "solver")
-        ensure_one_of(self.decision_pipeline, ("array", "object"), "decision_pipeline")
         if self.solver_time_limit_s is not None:
             ensure_positive(self.solver_time_limit_s, "solver_time_limit_s")
 

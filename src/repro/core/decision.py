@@ -12,6 +12,14 @@ The controller implements the solve-side of the paper's Algorithm 1:
 
 The controller records which path produced each decision; the evaluation uses
 that to report how often constraints had to be softened.
+
+:meth:`DecisionController.decide` (the scalar engine's entry point) gathers
+the round's cost, latency-ratio and tolerance matrices from ``Job`` objects
+and hands them to
+:meth:`DecisionController.decide_arrays` — the entry point the batch engines'
+fast path calls directly — which builds the MILP with
+:func:`repro.core.objective.build_placement_form` and solves it through
+:func:`repro.milp.solver.solve_standard_form`.
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ import numpy as np
 from repro.cluster.interface import SchedulingContext
 from repro.core.config import WaterWiseConfig
 from repro.core.history import HistoryLearner
-from repro.core.objective import PlacementModel, build_placement_form, build_placement_problem
-from repro.milp import SolveResult, SolverSession, solve
+from repro.core.objective import build_placement_form, placement_cost
+from repro.milp.session import SolverSession
 from repro.milp.solver import solve_standard_form
 from repro.traces.job import Job
 
@@ -37,7 +45,7 @@ def _transfer_matrix(
     region_keys: tuple[str, ...],
     context: SchedulingContext,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(M × N) transfer latencies + home-region codes for the array pipeline.
+    """(M × N) transfer latencies + home-region codes for :meth:`decide`.
 
     For the standard :class:`~repro.regions.latency.TransferLatencyModel`
     (with every home region inside the simulated cluster) the matrix is
@@ -45,8 +53,8 @@ def _transfer_matrix(
     term — the same decomposition
     :func:`repro.schedulers.vectorized.batch_transfer_matrix` uses, which
     reproduces ``context.transfer_time`` bit for bit.  Latency subclasses,
-    duck-typed models and out-of-cluster homes fall back to the per-pair
-    calls :func:`build_placement_problem` makes.
+    duck-typed models and out-of-cluster homes fall back to per-pair
+    ``context.transfer_time`` calls.
 
     Home codes are resolved against ``region_keys`` with ``0`` for homes
     outside the cluster — the code the greedy fallback's
@@ -82,16 +90,12 @@ class ControllerResult:
     assignments: dict[int, str]
     used_soft_constraints: bool
     used_fallback: bool
-    solve_result: SolveResult | None
-    model: PlacementModel | None
-    #: MILP objective when the array pipeline solved the round (the object
-    #: pipeline carries it inside ``solve_result`` instead).
+    #: MILP objective of the solved round; ``None`` for an empty batch or
+    #: the greedy fallback.
     objective: float | None = None
 
     @property
     def objective_value(self) -> float:
-        if self.solve_result is not None:
-            return float(self.solve_result.objective)
         return float("nan") if self.objective is None else float(self.objective)
 
 
@@ -105,9 +109,8 @@ class DecisionController:
         self.rounds_softened = 0
         self.rounds_fallback = 0
         #: Warm-start bases and solver statistics, threaded through every
-        #: solve this controller issues — the scalar (:meth:`decide`) and
-        #: batch (:meth:`decide_arrays`) paths share it, so consecutive
-        #: scheduling rounds reuse each other's bases regardless of engine.
+        #: solve this controller issues, so consecutive scheduling rounds
+        #: reuse each other's bases regardless of engine.
         self.session = SolverSession()
 
     def reset(self) -> None:
@@ -115,30 +118,6 @@ class DecisionController:
         self.rounds_softened = 0
         self.rounds_fallback = 0
         self.session.reset()
-
-    # -- fallback ---------------------------------------------------------------------
-    @staticmethod
-    def _greedy_assignment(
-        jobs: Sequence[Job], context: SchedulingContext, cost: np.ndarray
-    ) -> dict[int, str]:
-        """Deterministic cost-greedy assignment respecting remaining capacity."""
-        region_keys = context.region_keys
-        remaining = {key: int(context.capacity.get(key, 0)) for key in region_keys}
-        assignments: dict[int, str] = {}
-        for m, job in enumerate(jobs):
-            order = np.argsort(cost[m])
-            chosen = None
-            for idx in order:
-                key = region_keys[int(idx)]
-                if remaining[key] >= job.servers_required:
-                    chosen = key
-                    break
-            if chosen is None:
-                chosen = job.home_region if job.home_region in region_keys else region_keys[0]
-            assignments[job.job_id] = chosen
-            if chosen in remaining:
-                remaining[chosen] -= job.servers_required
-        return assignments
 
     # -- main entry point -----------------------------------------------------------------
     def decide(
@@ -156,100 +135,22 @@ class DecisionController:
         ``extra_cost`` is an optional pre-weighted (M × N) additive objective
         term forwarded to the MILP objective (extension hook).
 
-        With ``config.decision_pipeline == "array"`` (the default) the round
-        matrices are computed vectorized and the MILP is built directly in
-        standard form through :meth:`decide_arrays` — the exact code path the
-        batch engines' WaterWise fast path takes, on the same floats.
-        ``"object"`` keeps the original ``Variable``/``Constraint`` model
-        (:func:`build_placement_problem`); the differential tests hold the
-        two pipelines to identical decisions.
+        The round's footprint, cost, latency-ratio and tolerance matrices
+        are computed with the same whole-batch operations the batch fast
+        path uses (:mod:`repro.core.fastpath`), on the same floats, and the
+        MILP is solved through :meth:`decide_arrays`.
         """
         if not jobs:
             return ControllerResult(
                 assignments={}, used_soft_constraints=False, used_fallback=False,
-                solve_result=None, model=None,
             )
-        region_keys = context.region_keys
+        jobs = tuple(jobs)
+        region_keys = tuple(context.region_keys)
         if history is not None and self.config.use_history:
             co2_ref, h2o_ref = history.reference(region_keys)
         else:
             co2_ref = h2o_ref = None
 
-        if self.config.decision_pipeline == "array":
-            return self._decide_via_arrays(
-                jobs, context, co2_ref, h2o_ref, force_soft, extra_cost
-            )
-
-        attempts: list[bool] = []
-        if not force_soft:
-            attempts.append(False)
-        if self.config.use_soft_constraints or not attempts:
-            attempts.append(True)
-
-        last_model: PlacementModel | None = None
-        for soft in attempts:
-            if soft and not self.config.use_soft_constraints and not force_soft:
-                continue
-            model = build_placement_problem(
-                jobs, context, self.config, co2_ref=co2_ref, h2o_ref=h2o_ref, soft=soft,
-                extra_cost=extra_cost,
-            )
-            last_model = model
-            result = solve(
-                model.problem,
-                solver=self.config.solver,
-                time_limit=self.config.solver_time_limit_s,
-                session=self.session,
-            )
-            if result.status.is_success:
-                assignments = model.assignment_from_values(dict(result.values))
-                self.rounds_solved += 1
-                if soft:
-                    self.rounds_softened += 1
-                return ControllerResult(
-                    assignments=assignments,
-                    used_soft_constraints=soft,
-                    used_fallback=False,
-                    solve_result=result,
-                    model=model,
-                )
-
-        # Defensive fallback: the MILP backend failed outright.
-        model = last_model
-        cost = model.cost if model is not None else np.zeros((len(jobs), len(region_keys)))
-        assignments = self._greedy_assignment(jobs, context, cost)
-        self.rounds_fallback += 1
-        return ControllerResult(
-            assignments=assignments,
-            used_soft_constraints=True,
-            used_fallback=True,
-            solve_result=None,
-            model=model,
-        )
-
-    # -- array pipeline (scalar entry point, vectorized internals) ----------------------
-    def _decide_via_arrays(
-        self,
-        jobs: Sequence[Job],
-        context: SchedulingContext,
-        co2_ref,
-        h2o_ref,
-        force_soft: bool,
-        extra_cost,
-    ) -> ControllerResult:
-        """Object-world :meth:`decide` on the vectorized round matrices.
-
-        Gathers the per-job columns once, computes the cost / latency-ratio /
-        tolerance matrices with the same whole-batch operations the batch
-        fast path uses (:mod:`repro.core.fastpath`), and routes the solve
-        through :meth:`decide_arrays`.  Every formula matches
-        :func:`build_placement_problem` bit for bit, so the pipelines make
-        identical decisions.
-        """
-        from repro.core.objective import placement_cost
-
-        jobs = tuple(jobs)
-        region_keys = tuple(context.region_keys)
         m = len(jobs)
         energy = np.fromiter((j.energy_kwh for j in jobs), dtype=float, count=m)
         exec_times = np.fromiter((j.execution_time for j in jobs), dtype=float, count=m)
@@ -275,7 +176,7 @@ class DecisionController:
             count=len(region_keys),
         )
 
-        codes, used_soft, used_fallback, objective = self._decide_arrays_full(
+        codes, used_soft, used_fallback, objective = self.decide_arrays(
             cost, latency_ratio, tolerance, servers, capacity, home_idx,
             force_soft=force_soft,
         )
@@ -287,12 +188,10 @@ class DecisionController:
             assignments=assignments,
             used_soft_constraints=used_soft,
             used_fallback=used_fallback,
-            solve_result=None,
-            model=None,
             objective=objective,
         )
 
-    # -- array-world entry point (batch engine fast path) -------------------------------
+    # -- matrix entry point (decide and the batch engine fast path) ---------------------
     def decide_arrays(
         self,
         cost: np.ndarray,
@@ -302,34 +201,18 @@ class DecisionController:
         capacity: np.ndarray,
         home_idx: np.ndarray,
         force_soft: bool = False,
-    ) -> tuple[np.ndarray, bool, bool]:
-        """Array counterpart of :meth:`decide` for the vectorized fast path.
+    ) -> tuple[np.ndarray, bool, bool, float | None]:
+        """Run the hard → soft → greedy-fallback ladder on one round's matrices.
 
         Takes the already-computed placement matrices (cost, latency ratio,
         remaining tolerance — see :func:`repro.core.objective.placement_cost`)
-        instead of ``Job`` objects, builds the identical MILP directly in
-        standard form and runs it through the same solver dispatch, so the
-        hard → soft → greedy-fallback ladder and the round counters behave
-        exactly like the object path.  Returns ``(region codes in job order,
-        used_soft_constraints, used_fallback)``.
+        instead of ``Job`` objects, builds the MILP with
+        :func:`~repro.core.objective.build_placement_form` and solves it
+        through :func:`~repro.milp.solver.solve_standard_form`, updating the
+        round counters.  Returns ``(region codes in job order,
+        used_soft_constraints, used_fallback, objective)``; the objective is
+        ``None`` when the greedy fallback placed the round.
         """
-        codes, used_soft, used_fallback, _objective = self._decide_arrays_full(
-            cost, latency_ratio, tolerance, servers_required, capacity, home_idx,
-            force_soft=force_soft,
-        )
-        return codes, used_soft, used_fallback
-
-    def _decide_arrays_full(
-        self,
-        cost: np.ndarray,
-        latency_ratio: np.ndarray,
-        tolerance: np.ndarray,
-        servers_required: np.ndarray,
-        capacity: np.ndarray,
-        home_idx: np.ndarray,
-        force_soft: bool = False,
-    ) -> tuple[np.ndarray, bool, bool, float | None]:
-        """:meth:`decide_arrays` plus the solved MILP objective (or ``None``)."""
         m_jobs, n_regions = cost.shape
         attempts: list[bool] = []
         if not force_soft:
@@ -365,7 +248,7 @@ class DecisionController:
 
         self.rounds_fallback += 1
         return (
-            self._greedy_assignment_arrays(cost, servers_required, capacity, home_idx),
+            self._greedy_assignment(cost, servers_required, capacity, home_idx),
             True,
             True,
             None,
@@ -375,8 +258,7 @@ class DecisionController:
     def _assignments_from_x(x: np.ndarray, m_jobs: int, n_regions: int) -> np.ndarray:
         """Region code per job from a solved variable vector.
 
-        Mirrors ``PlacementModel.assignment_from_values``: the first region
-        whose (snapped) placement binary exceeds 0.5 wins.
+        The first region whose (snapped) placement binary exceeds 0.5 wins.
         """
         placements = x[: m_jobs * n_regions].reshape(m_jobs, n_regions)
         chosen = np.argmax(placements, axis=1)
@@ -385,13 +267,17 @@ class DecisionController:
         return chosen.astype(np.int64)
 
     @staticmethod
-    def _greedy_assignment_arrays(
+    def _greedy_assignment(
         cost: np.ndarray,
         servers_required: np.ndarray,
         capacity: np.ndarray,
         home_idx: np.ndarray,
     ) -> np.ndarray:
-        """Array counterpart of :meth:`_greedy_assignment` (same tie-breaking)."""
+        """Deterministic cost-greedy assignment respecting remaining capacity.
+
+        Each job, in order, takes its cheapest region that still has room
+        for it, or its home region when none has.
+        """
         m_jobs = cost.shape[0]
         remaining = [int(v) for v in capacity]
         assignments = np.empty(m_jobs, dtype=np.int64)

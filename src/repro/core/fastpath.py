@@ -1,26 +1,22 @@
 """Vectorized fast path for the WaterWise core policy (paper Algorithm 1).
 
-The scalar :class:`~repro.core.waterwise.WaterWiseScheduler` spends its round
-budget in three places: materializing per-job footprint/transfer data,
-constructing the placement MILP out of Python ``Variable``/``Constraint``
-objects, and solving it.  This fast path keeps the *same* algorithm —
-history learner, slack manager, hard → soft → greedy decision ladder — but
-computes every matrix with whole-batch NumPy operations and hands the solver
-the MILP directly in standard (array) form, skipping the object model
-entirely:
+The scalar :class:`~repro.core.waterwise.WaterWiseScheduler` reads every
+round's inputs from ``Job`` objects and a
+:class:`~repro.cluster.interface.SchedulingContext`.  This fast path keeps
+the *same* algorithm — history learner, slack manager, hard → soft → greedy
+decision ladder — but reads the batch engine's job columns directly:
 
 * the cost matrix comes from
   :meth:`~repro.cluster.footprint.FootprintCalculator.footprint_matrices_arrays`
   and :func:`~repro.core.objective.placement_cost` — the same formula the
-  object path uses, on the same floats;
+  scalar path uses, on the same floats;
 * transfer latencies come from
   :func:`~repro.schedulers.vectorized.batch_transfer_matrix`, which
   reproduces ``context.transfer_time`` bit-for-bit;
-* the MILP is assembled by :func:`~repro.core.objective.build_placement_form`
-  (provably the same standard form ``build_placement_problem`` +
-  ``to_standard_form`` would emit) and solved through the same
-  :func:`~repro.milp.solver.solve_standard_form` dispatch via
-  :meth:`~repro.core.decision.DecisionController.decide_arrays`.
+* the MILP is built by :func:`~repro.core.objective.build_placement_form`
+  and solved through :func:`~repro.milp.solver.solve_standard_form` via
+  :meth:`~repro.core.decision.DecisionController.decide_arrays` — the
+  entry point the scalar controller's ``decide`` also ends in.
 
 Because the slack manager hands jobs to the controller in urgency order, the
 fast path returns ``(choice, commit_order)`` so the batch engine commits
@@ -140,7 +136,7 @@ def waterwise_fast_path(
     waited_ratio = context.wait_times[selected] / exec_est
     tolerance = np.maximum(0.0, context.delay_tolerance - waited_ratio)
 
-    regions, used_soft, _used_fallback = scheduler.controller.decide_arrays(
+    regions, used_soft, _used_fallback, _objective = scheduler.controller.decide_arrays(
         cost,
         latency_ratio,
         tolerance,

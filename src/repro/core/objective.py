@@ -1,8 +1,9 @@
 """Construction of the WaterWise placement MILP (Eq. 7–13).
 
-Given a batch of M jobs, N candidate regions and the current sustainability
-state, :func:`build_placement_problem` produces a
-:class:`repro.milp.problem.Problem` with:
+Given a batch of M jobs and N candidate regions, :func:`placement_cost` turns
+the round's carbon and water footprint matrices into the per-placement
+objective coefficients (Eq. 7–8), and :func:`build_placement_form` builds the
+MILP directly as a :class:`~repro.milp.problem.StandardForm` with:
 
 * binary placement variables ``x[m, n]``,
 * the normalized carbon + water objective with the history-learner reference
@@ -11,63 +12,25 @@ state, :func:`build_placement_problem` produces a
   (Eq. 10), and the delay-tolerance constraint — hard (Eq. 11) or softened
   through per-(m, n) penalty variables (Eq. 13).
 
-The per-job delay allowance is reduced by the time the job has already spent
-waiting in previous rounds, so a job that was deferred keeps a consistent
-end-to-end tolerance.
+This is the one place the paper's MILP is built: the scalar decision
+controller and the batch engines' fast path both call it.  The per-job delay
+allowance passed in is already reduced by the time the job has spent waiting
+in previous rounds, so a job that was deferred keeps a consistent end-to-end
+tolerance.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from collections.abc import Sequence
-
 import numpy as np
 
-from repro.cluster.interface import SchedulingContext
 from repro.core.config import WaterWiseConfig
-from repro.milp import Problem, VarType, Variable, lin_sum
 from repro.milp.problem import StandardForm
 from repro.milp.structure import PlacementStructure, attach_structure
-from repro.traces.job import Job
 
-__all__ = [
-    "PlacementModel",
-    "build_placement_problem",
-    "placement_cost",
-    "build_placement_form",
-]
+__all__ = ["build_placement_form", "placement_cost"]
 
 #: Footprint maxima below this are treated as "no signal" to avoid divide-by-zero.
 _EPSILON = 1e-12
-
-
-@dataclasses.dataclass
-class PlacementModel:
-    """The built MILP plus the bookkeeping needed to read the solution back."""
-
-    problem: Problem
-    jobs: tuple[Job, ...]
-    region_keys: tuple[str, ...]
-    x_names: np.ndarray  # (M, N) array of variable names
-    penalty_names: np.ndarray | None  # (M, N) array or None in hard mode
-    cost: np.ndarray  # (M, N) per-placement objective coefficients
-    soft: bool
-
-    def assignment_from_values(self, values: dict[str, float]) -> dict[int, str]:
-        """Extract job → region assignments from a solved variable dictionary."""
-        assignments: dict[int, str] = {}
-        for m, job in enumerate(self.jobs):
-            chosen = None
-            best_value = 0.5  # binary variables: anything above 0.5 counts as selected
-            for n, region in enumerate(self.region_keys):
-                value = values.get(str(self.x_names[m, n]), 0.0)
-                if value > best_value:
-                    best_value = value
-                    chosen = region
-            if chosen is None:
-                raise ValueError(f"no region selected for job {job.job_id} in MILP solution")
-            assignments[job.job_id] = chosen
-        return assignments
 
 
 def _normalized(matrix: np.ndarray) -> np.ndarray:
@@ -87,10 +50,14 @@ def placement_cost(
 ) -> np.ndarray:
     """Per-placement objective coefficients (Eq. 7–8) from the M×N matrices.
 
-    The single implementation of the cost formula, shared by the object-world
-    :func:`build_placement_problem` and the batch engine's vectorized
-    WaterWise fast path (:mod:`repro.core.fastpath`) so both produce
-    bit-identical MILP objectives.
+    Each footprint matrix is normalized per job (row maximum), blended with
+    the λ weights and shifted by the per-region history reference (zeros
+    when omitted; one entry per region).  ``extra_cost`` is an optional
+    pre-weighted (M × N) additive term — the hook extensions such as the
+    cost-aware scheduler use.  The single implementation of the cost
+    formula, shared by the scalar decision controller and the batch fast
+    path (:mod:`repro.core.fastpath`) so both produce bit-identical MILP
+    objectives.
     """
     n_regions = carbon.shape[1]
     carbon_norm = _normalized(carbon)
@@ -132,16 +99,17 @@ def build_placement_form(
     config: WaterWiseConfig,
     soft: bool = False,
 ) -> StandardForm:
-    """Array-world :func:`build_placement_problem`: the MILP as a ``StandardForm``.
+    """The placement MILP for one round (Eq. 8–13) as a ``StandardForm``.
 
-    Produces exactly the arrays ``build_placement_problem(...).problem
-    .to_standard_form()`` would — same variable order (``x`` placement
-    binaries m-major/n-minor, then the soft penalty variables), same
-    constraint order (assignment equalities, then capacity, then delay
-    inequalities) and bit-identical coefficients — without constructing any
-    ``Variable``/``Constraint`` objects.  Feeding both through
-    :func:`repro.milp.solver.solve_standard_form` therefore yields the same
-    solver behaviour; the differential harness locks this down.
+    ``cost`` is the (M × N) objective from :func:`placement_cost`,
+    ``latency_ratio`` the transfer latency over execution time per
+    placement, ``tolerance`` each job's remaining delay allowance,
+    ``servers_required`` each job's server demand and ``capacity`` each
+    region's free servers.  Variables are the ``x`` placement binaries
+    (m-major, n-minor), then — when ``soft`` — one non-negative penalty
+    variable per placement, weighted by ``config.penalty_weight``.  Rows
+    are the assignment equalities, then the capacity rows, then the delay
+    rows.
     """
     m_jobs, n_regions = cost.shape
     n_x = m_jobs * n_regions
@@ -159,8 +127,7 @@ def build_placement_form(
     a_eq[rows, cols] = 1.0
     b_eq = np.ones(m_jobs)
 
-    # Eq. 10 (capacity) then Eq. 11/13 (delay) rows, matching the object
-    # model's constraint insertion order.
+    # Eq. 10 (capacity) then Eq. 11/13 (delay) rows.
     a_ub = np.zeros((n_regions + m_jobs, n_vars))
     servers = np.asarray(servers_required, dtype=float)
     capacity_rows = np.tile(np.arange(n_regions), m_jobs)
@@ -181,7 +148,6 @@ def build_placement_form(
         upper[n_x:] = np.inf
 
     form = StandardForm(
-        variables=(),
         c=c,
         c0=0.0,
         a_ub=a_ub,
@@ -208,130 +174,4 @@ def build_placement_form(
             servers=servers,
             capacity=np.asarray(capacity, dtype=float),
         ),
-    )
-
-
-def build_placement_problem(
-    jobs: Sequence[Job],
-    context: SchedulingContext,
-    config: WaterWiseConfig,
-    co2_ref: np.ndarray | None = None,
-    h2o_ref: np.ndarray | None = None,
-    soft: bool = False,
-    extra_cost: np.ndarray | None = None,
-) -> PlacementModel:
-    """Build the placement MILP for one scheduling round.
-
-    Parameters
-    ----------
-    jobs:
-        Batch of jobs to place (already filtered by the slack manager when
-        demand exceeds capacity).
-    context:
-        Scheduling context for the round.
-    config:
-        WaterWise configuration (weights, penalty weight).
-    co2_ref / h2o_ref:
-        Per-region history-learner reference terms; zeros when omitted.
-    soft:
-        Whether to build the soft-constraint variant (Eq. 12/13).
-    extra_cost:
-        Optional pre-weighted (M × N) additive objective term.  This is the
-        hook used by extensions such as the cost-aware scheduler the paper's
-        discussion section sketches; it must already be normalized/weighted by
-        the caller.
-    """
-    if not jobs:
-        raise ValueError("cannot build a placement problem for an empty batch")
-    region_keys = tuple(context.region_keys)
-    n_regions = len(region_keys)
-    if n_regions == 0:
-        raise ValueError("cannot build a placement problem without regions")
-    jobs = tuple(jobs)
-    m_jobs = len(jobs)
-
-    carbon, water = context.footprints.footprint_matrices(jobs, region_keys, context.now)
-    cost = placement_cost(
-        carbon, water, config, co2_ref=co2_ref, h2o_ref=h2o_ref, extra_cost=extra_cost
-    )
-
-    # Transfer-latency ratio L_mn / t_mn and the per-job remaining tolerance.
-    transfer = np.array(
-        [[context.transfer_time(job, region) for region in region_keys] for job in jobs]
-    )
-    exec_times = np.array([job.execution_time for job in jobs])
-    latency_ratio = transfer / exec_times[:, None]
-    waited_ratio = np.array([context.wait_time(job) for job in jobs]) / exec_times
-    tolerance = np.maximum(0.0, context.delay_tolerance - waited_ratio)
-
-    problem = Problem(name="waterwise-placement")
-    x_names = np.empty((m_jobs, n_regions), dtype=object)
-    x_vars: list[list[Variable]] = []
-    for m, job in enumerate(jobs):
-        row = []
-        for n, region in enumerate(region_keys):
-            name = f"x_{job.job_id}_{region}"
-            var = Variable(name, var_type=VarType.BINARY)
-            problem.add_variable(var)
-            x_names[m, n] = name
-            row.append(var)
-        x_vars.append(row)
-
-    penalty_names: np.ndarray | None = None
-    penalty_vars: list[list[Variable]] | None = None
-    if soft:
-        penalty_names = np.empty((m_jobs, n_regions), dtype=object)
-        penalty_vars = []
-        for m, job in enumerate(jobs):
-            row = []
-            for n, region in enumerate(region_keys):
-                name = f"p_{job.job_id}_{region}"
-                var = Variable(name, low=0.0)
-                problem.add_variable(var)
-                penalty_names[m, n] = name
-                row.append(var)
-            penalty_vars.append(row)
-
-    # Objective: Eq. 8 (hard) or Eq. 12 (soft).
-    objective_terms = [
-        float(cost[m, n]) * x_vars[m][n] for m in range(m_jobs) for n in range(n_regions)
-    ]
-    if soft and penalty_vars is not None:
-        objective_terms.extend(
-            config.penalty_weight * penalty_vars[m][n]
-            for m in range(m_jobs)
-            for n in range(n_regions)
-        )
-    problem.set_objective(lin_sum(objective_terms))
-
-    # Eq. 9: each job is placed in exactly one region.
-    for m, job in enumerate(jobs):
-        problem.add_constraint(lin_sum(x_vars[m]) == 1, name=f"assign_{job.job_id}")
-
-    # Eq. 10: regional capacity.
-    for n, region in enumerate(region_keys):
-        capacity = int(context.capacity.get(region, 0))
-        problem.add_constraint(
-            lin_sum(job.servers_required * x_vars[m][n] for m, job in enumerate(jobs))
-            <= capacity,
-            name=f"capacity_{region}",
-        )
-
-    # Eq. 11 (hard) / Eq. 13 (soft): delay tolerance on the transfer latency.
-    for m, job in enumerate(jobs):
-        lhs_terms = [float(latency_ratio[m, n]) * x_vars[m][n] for n in range(n_regions)]
-        if soft and penalty_vars is not None:
-            lhs_terms.extend(-1.0 * penalty_vars[m][n] for n in range(n_regions))
-        problem.add_constraint(
-            lin_sum(lhs_terms) <= float(tolerance[m]), name=f"delay_{job.job_id}"
-        )
-
-    return PlacementModel(
-        problem=problem,
-        jobs=jobs,
-        region_keys=region_keys,
-        x_names=x_names,
-        penalty_names=penalty_names,
-        cost=cost,
-        soft=soft,
     )

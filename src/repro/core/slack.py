@@ -30,9 +30,8 @@ __all__ = ["SlackManager", "SlackSelection", "admit_ranked", "cached_average_fro
 #: Per-latency-model memo of ``average_from`` results, keyed by
 #: ``(source, package_gb)``.  The model's distances and rates are fixed at
 #: construction, and traces draw packages from a handful of workload
-#: profiles, so the array pipeline's urgency scoring collapses to dictionary
-#: hits.  Bounded per model; the reference pipeline deliberately does not use
-#: it (it mirrors the paper's per-job evaluation).
+#: profiles, so urgency scoring collapses to dictionary hits.  Bounded per
+#: model.
 _AVERAGE_CACHE: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
 _AVERAGE_CACHE_LIMIT = 8192
 
@@ -59,13 +58,12 @@ def admit_ranked(
 
     ``ranked`` lists batch positions most-urgent-first and ``servers`` the
     server demand *aligned with that ranking*.  Walks the ranking admitting
-    every position whose demand still fits, exactly like
-    :meth:`SlackManager.select`; once remaining capacity reaches zero
-    nothing else can fit (jobs require at least one server), so the rest of
-    the ranking defers wholesale.  Returns ``(selected, deferred)``, both in
-    rank order.  Shared by the object-world :meth:`SlackManager.select_arrays`
-    and the batch fast path (:mod:`repro.core.fastpath`), which keeps their
-    tie-breaking identical.
+    every position whose demand still fits; once remaining capacity reaches
+    zero nothing else can fit (jobs require at least one server), so the
+    rest of the ranking defers wholesale.  Returns ``(selected, deferred)``,
+    both in rank order.  Shared by :meth:`SlackManager.select` and the batch
+    fast path (:mod:`repro.core.fastpath`), which keeps their tie-breaking
+    identical.
     """
     remaining = int(capacity_slots)
     selected: list[int] = []
@@ -94,54 +92,19 @@ class SlackSelection:
 class SlackManager:
     """Ranks jobs by remaining slack and selects the most urgent ones."""
 
-    def urgency(self, job: Job, context: SchedulingContext) -> float:
-        """Slack score of ``job`` (smaller = more urgent), paper Eq. 14.
-
-        ``TOL% · t_m − L_avg_m − waited_m``: the delay allowance minus the
-        average cost of moving the job and minus the time it has already
-        spent waiting since the controller received it.
-        """
-        allowance = context.delay_tolerance * job.execution_time
-        average_transfer = context.latency.average_from(job.home_region, job.package_gb)
-        waited = context.wait_time(job)
-        return allowance - average_transfer - waited
-
     def select(
         self, jobs: Sequence[Job], context: SchedulingContext, capacity_slots: int
     ) -> SlackSelection:
         """Pick the most urgent jobs that fit in ``capacity_slots`` server slots.
 
-        Jobs are sorted by ascending slack; selection stops once the next
-        job's server requirement no longer fits.  With zero capacity every
-        job is deferred.
-        """
-        if capacity_slots < 0:
-            raise ValueError("capacity_slots must be >= 0")
-        scores = {job.job_id: self.urgency(job, context) for job in jobs}
-        ranked = sorted(jobs, key=lambda job: (scores[job.job_id], job.job_id))
-        selected: list[Job] = []
-        deferred: list[Job] = []
-        remaining = int(capacity_slots)
-        for job in ranked:
-            if job.servers_required <= remaining:
-                selected.append(job)
-                remaining -= job.servers_required
-            else:
-                deferred.append(job)
-        return SlackSelection(selected=tuple(selected), deferred=tuple(deferred), scores=scores)
-
-    def select_arrays(
-        self, jobs: Sequence[Job], context: SchedulingContext, capacity_slots: int
-    ) -> SlackSelection:
-        """Vectorized :meth:`select`: same ranking, same floats, same ties.
-
-        Urgency scores are computed with one ``average_from`` call per
-        distinct ``(home, package)`` pair instead of one per job (the call
-        itself is unchanged, so the scores are bit-identical), the ranking is
-        one ``np.lexsort`` over ``(score, job_id)`` — the stable counterpart
-        of :meth:`select`'s ``sorted`` key — and admission runs through the
-        shared :func:`admit_ranked` core.  The array decision pipeline uses
-        this; ``decision_pipeline="object"`` keeps :meth:`select`.
+        A job's slack score (smaller = more urgent) is paper Eq. 14,
+        ``TOL% · t_m − L_avg_m − waited_m``: the delay allowance minus the
+        average cost of moving the job and minus the time it has already
+        spent waiting since the controller received it.  ``L_avg_m`` is
+        looked up once per distinct ``(home, package)`` pair
+        (:func:`cached_average_from`).  Jobs are ranked by ascending score,
+        job id breaking ties, and admitted through :func:`admit_ranked` while
+        their server demand fits; with zero capacity every job is deferred.
         """
         if capacity_slots < 0:
             raise ValueError("capacity_slots must be >= 0")

@@ -84,10 +84,7 @@ class WaterWiseScheduler(Scheduler):
             # Nothing can start this round anywhere; wait for capacity.
             return SchedulerDecision(deferred=[job.job_id for job in jobs])
         if required_slots > total_capacity and self.config.use_slack_manager:
-            if self.config.decision_pipeline == "array":
-                selection = self.slack_manager.select_arrays(jobs, context, total_capacity)
-            else:
-                selection = self.slack_manager.select(jobs, context, total_capacity)
+            selection = self.slack_manager.select(jobs, context, total_capacity)
             batch = selection.selected
             deferred = [job.job_id for job in selection.deferred]
             force_soft = self.config.use_soft_constraints

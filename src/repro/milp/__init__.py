@@ -1,17 +1,16 @@
-"""MILP substrate: a PuLP-like modeling layer with pluggable exact solvers.
+"""MILP substrate: the array form of a problem and pluggable exact solvers.
 
 WaterWise formulates job placement as a Mixed Integer Linear Program (the
 paper uses PuLP + GLPK).  This subpackage provides the same capability from
-scratch:
+scratch.  The placement MILP is built directly in array form
+(:func:`repro.core.objective.build_placement_form`) and solved through one
+entry point, :func:`~repro.milp.solver.solve_standard_form`:
 
-* :mod:`repro.milp.expression` / :mod:`repro.milp.constraint` /
-  :mod:`repro.milp.problem` — the modeling layer (variables, affine
-  expressions, constraints, problems).
+* :mod:`repro.milp.problem` — :class:`~repro.milp.problem.StandardForm`, the
+  dense array form every backend consumes.
 * :mod:`repro.milp.sparse` — CSR constraint data carried by every form.
 * :mod:`repro.milp.presolve` — fixed-variable elimination, bound tightening
   and redundant-row removal ahead of the native solvers.
-* :mod:`repro.milp.simplex` — the dense two-phase tableau simplex, kept as
-  the slow reference implementation.
 * :mod:`repro.milp.revised_simplex` — the production LP engine: a
   bounded-variable revised simplex with warm-start bases.
 * :mod:`repro.milp.branch_and_bound` — best-first branch & bound with
@@ -24,32 +23,24 @@ scratch:
   the warm-start basis store threaded across scheduling rounds.
 * :mod:`repro.milp.scipy_backend` — the same problems solved through SciPy's
   HiGHS bindings (``scipy.optimize.linprog`` / ``scipy.optimize.milp``).
-* :mod:`repro.milp.solver` — the user-facing :func:`solve` dispatch.
+* :mod:`repro.milp.solver` — the :func:`solve_standard_form` dispatch.
+* :mod:`repro.milp.status` — the result types every backend shares.
+* :mod:`repro.milp.simplex` — the dense two-phase tableau simplex, kept only
+  as the reference the tests check the production engines against.
 
 All solver families are exact; they are cross-checked against each other in
 the test suite so scheduling results do not depend on the backend choice.
 """
 
-from repro.milp.constraint import Constraint, ConstraintSense
-from repro.milp.expression import LinExpr, Variable, VarType, lin_sum
-from repro.milp.problem import ObjectiveSense, Problem
+from repro.milp.problem import StandardForm
 from repro.milp.session import SolverSession, SolverStats
-from repro.milp.solver import available_solvers, solve
-from repro.milp.status import SolveResult, SolveStatus
+from repro.milp.solver import solve_standard_form
+from repro.milp.status import SolveStatus
 
 __all__ = [
-    "Constraint",
-    "ConstraintSense",
-    "LinExpr",
-    "ObjectiveSense",
-    "Problem",
-    "SolveResult",
     "SolveStatus",
     "SolverSession",
     "SolverStats",
-    "VarType",
-    "Variable",
-    "available_solvers",
-    "lin_sum",
-    "solve",
+    "StandardForm",
+    "solve_standard_form",
 ]

@@ -36,8 +36,7 @@ import numpy as np
 
 from repro.milp.problem import StandardForm
 from repro.milp.revised_simplex import Basis, BoundedLP
-from repro.milp.simplex import LPSolution
-from repro.milp.status import SolveStatus
+from repro.milp.status import LPSolution, SolveStatus
 
 __all__ = ["BranchAndBoundResult", "solve_milp_arrays"]
 

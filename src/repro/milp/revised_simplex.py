@@ -39,8 +39,7 @@ import time
 
 import numpy as np
 
-from repro.milp.simplex import LPSolution
-from repro.milp.status import SolveStatus
+from repro.milp.status import LPSolution, SolveStatus
 
 __all__ = ["Basis", "BoundedLP", "solve_lp_revised"]
 

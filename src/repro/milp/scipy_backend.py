@@ -1,4 +1,4 @@
-"""SciPy (HiGHS) backend for the MILP modeling layer.
+"""SciPy (HiGHS) backend: the same array forms solved through SciPy.
 
 The native simplex / branch & bound solvers are complete but intentionally
 simple; for large scheduling rounds the HiGHS solvers shipped with SciPy are
@@ -15,8 +15,7 @@ import numpy as np
 from scipy import optimize, sparse
 
 from repro.milp.problem import StandardForm
-from repro.milp.simplex import LPSolution
-from repro.milp.status import SolveStatus
+from repro.milp.status import LPSolution, SolveStatus
 
 __all__ = ["scipy_lp_backend", "solve_form_scipy"]
 
@@ -129,7 +128,21 @@ def solve_form_scipy(
         return status, np.full(n, np.nan), np.nan, 0, time.perf_counter() - start
     x = np.asarray(result.x, dtype=float)
     # Snap integer variables (HiGHS returns values within tolerance of integers).
-    x[form.integrality] = np.round(x[form.integrality])
+    integer = form.integrality
+    x[integer] = np.round(x[integer])
+    if not integer.all():
+        # HiGHS computed the continuous columns for the unsnapped integers and
+        # accepts rows violated by up to its feasibility tolerance, so next to
+        # the snapped integers they can miss a row and undercut the optimum by
+        # ~1e-7.  Re-solving them with the integers fixed restores a feasible
+        # point and the exact objective; HiGHS's values stay when the snapped
+        # integers admit no completion.
+        polished = scipy_lp_backend(
+            form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
+            np.where(integer, x, form.lower), np.where(integer, x, form.upper),
+        )
+        if polished.status.is_success:
+            x = np.where(integer, x, polished.x)
     objective = form.objective_value(x)
     nodes = int(getattr(result, "mip_node_count", 0) or 0)
     return status, x, objective, nodes, time.perf_counter() - start

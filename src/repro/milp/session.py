@@ -5,9 +5,9 @@ part of a solve — finding a feasible basis — can be amortized: a
 :class:`SolverSession` stores the optimal basis of each (shape-keyed) problem
 family and hands it to the next solve as a warm start.  The
 :class:`~repro.core.decision.DecisionController` owns one session and passes
-it through :func:`repro.milp.solver.solve_standard_form` from both its scalar
-(``decide``) and batch (``decide_arrays``) entry points, so the two engines
-share the same reuse machinery.
+it through :func:`repro.milp.solver.solve_standard_form` on every round,
+whether the scalar engine (``decide``) or the batch fast path
+(``decide_arrays``) asked, so the two engines share the same reuse machinery.
 
 The session also aggregates solver counters, exposed as
 ``result.solver_stats``: presolve reduction ratios, warm-start hit rates and

@@ -1,8 +1,11 @@
-"""Dense two-phase primal simplex LP solver.
+"""Dense two-phase primal simplex: the reference LP engine.
 
-This is the native LP engine behind :mod:`repro.milp.branch_and_bound`.  It
-solves problems in the form produced by
-:meth:`repro.milp.problem.Problem.to_standard_form`::
+No production path runs this solver.  The production LP engine is the
+bounded-variable revised simplex (:mod:`repro.milp.revised_simplex`); this
+textbook tableau stays as the independent reference the test suite checks
+the revised simplex, the SciPy/HiGHS backend and branch & bound's LP bounds
+against.  It solves the array form of a
+:class:`~repro.milp.problem.StandardForm`::
 
     minimize    c @ x
     subject to  a_ub @ x <= b_ub
@@ -21,10 +24,8 @@ The implementation follows the classic tableau method:
    phase 2 minimizes the real objective.
 
 Dantzig's rule is used for pricing with an automatic switch to Bland's rule
-after a run of degenerate pivots, which guarantees termination.  The solver
-is intended for the moderate problem sizes produced by WaterWise scheduling
-rounds (hundreds of variables); the SciPy/HiGHS backend is available for
-anything larger.
+after a run of degenerate pivots, which guarantees termination.  The dense
+tableau suits the small problems the tests draw (tens of variables).
 """
 
 from __future__ import annotations
@@ -34,30 +35,12 @@ import time
 
 import numpy as np
 
-from repro.milp.status import SolveStatus
+from repro.milp.status import LPSolution, SolveStatus
 
-__all__ = ["LPSolution", "solve_lp_arrays"]
+__all__ = ["solve_lp_arrays"]
 
 _FEAS_TOL = 1e-8
 _OPT_TOL = 1e-9
-
-
-@dataclasses.dataclass(frozen=True)
-class LPSolution:
-    """Result of an LP solve in array form.
-
-    ``warm_used`` reports whether a supplied warm-start basis actually
-    survived validation and seeded the solve (the revised simplex silently
-    falls back to a cold start on stale bases; accounting must follow what
-    really happened, not what was requested).
-    """
-
-    status: SolveStatus
-    x: np.ndarray
-    objective: float
-    iterations: int
-    solve_time: float = 0.0
-    warm_used: bool = False
 
 
 @dataclasses.dataclass

@@ -1,8 +1,7 @@
-"""User-facing solve dispatch for the MILP modeling layer.
+"""Solve dispatch: one entry point, :func:`solve_standard_form`, for every
+:class:`~repro.milp.problem.StandardForm`.
 
-:func:`solve` accepts a :class:`~repro.milp.problem.Problem` and a solver
-name, and returns a :class:`~repro.milp.status.SolveResult` with values keyed
-by variable name.  Four solver names are accepted:
+Four solver names are accepted:
 
 ``"native"``
     The from-scratch solver core implemented in this package: a sparse
@@ -33,51 +32,19 @@ import numpy as np
 
 from repro.milp.branch_and_bound import solve_milp_arrays
 from repro.milp.presolve import presolve
-from repro.milp.problem import Problem, StandardForm
+from repro.milp.problem import StandardForm
 from repro.milp.revised_simplex import BoundedLP
 from repro.milp.session import SolverSession
-from repro.milp.status import SolveResult, SolveStatus
+from repro.milp.status import SolveStatus
 from repro.milp.structure import detect_placement, solve_placement
 
-__all__ = ["solve", "available_solvers", "solve_standard_form"]
+__all__ = ["solve_standard_form"]
 
 _SOLVERS = ("auto", "scipy", "native", "structured")
 
 _log = logging.getLogger(__name__)
 #: The auto → native fallback reason is logged once per process, not per round.
 _fallback_logged = False
-
-
-def available_solvers() -> tuple[str, ...]:
-    """Names accepted by :func:`solve`'s ``solver`` argument."""
-    return _SOLVERS
-
-
-def _result_from_arrays(
-    problem: Problem,
-    form: StandardForm,
-    status: SolveStatus,
-    x: np.ndarray,
-    objective: float,
-    iterations: int,
-    nodes: int,
-    solver: str,
-    solve_time: float,
-) -> SolveResult:
-    if status.is_success:
-        values = {var.name: float(val) for var, val in zip(form.variables, x)}
-    else:
-        values = {}
-        objective = float("nan")
-    return SolveResult(
-        status=status,
-        objective=objective,
-        values=values,
-        iterations=iterations,
-        nodes=nodes,
-        solver=solver,
-        solve_time=solve_time,
-    )
 
 
 def _log_scipy_fallback(exc: BaseException) -> None:
@@ -123,7 +90,6 @@ def _solve_native(
         return _done(SolveStatus.OPTIMAL, x, form.objective_value(x), 0, 1)
 
     reduced = StandardForm(
-        variables=(),
         c=pre.c,
         c0=pre.c0,
         a_ub=pre.a_ub,
@@ -173,13 +139,17 @@ def solve_standard_form(
     time_limit: float | None = None,
     session: SolverSession | None = None,
 ) -> tuple[SolveStatus, np.ndarray, float, int, int, str, float]:
-    """Solve a :class:`StandardForm`, returning raw arrays.
+    """Solve ``form`` with the named backend, returning raw arrays.
 
-    This is the lower-level entry point used by the WaterWise decision
-    controller (which builds its own forms) and by :func:`solve`.  ``session``
-    threads warm-start bases and statistics across calls; the decision
-    controller passes its own so consecutive scheduling rounds reuse each
-    other's bases.
+    Returns ``(status, x, objective, iterations, nodes, solver, seconds)``:
+    ``x`` is the solution vector (NaN when there is none), ``objective`` is
+    in the form's original sense, ``solver`` names the backend that actually
+    ran (``"structured"`` and ``"auto"`` may degrade) and ``seconds`` is the
+    wall time spent in it.  ``node_limit`` bounds branch & bound (native
+    core) and ``time_limit`` is an optional wall-clock budget.  ``session``
+    threads warm-start bases and statistics across calls; the WaterWise
+    decision controller passes its own so consecutive scheduling rounds
+    reuse each other's bases.
     """
     if solver not in _SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {_SOLVERS}")
@@ -214,38 +184,3 @@ def solve_standard_form(
             return status, x, objective, nodes, nodes, "scipy", solve_time
 
     return _solve_native(form, node_limit, time_limit, session)
-
-
-def solve(
-    problem: Problem,
-    solver: str = "auto",
-    node_limit: int = 10_000,
-    time_limit: float | None = None,
-    session: SolverSession | None = None,
-) -> SolveResult:
-    """Solve ``problem`` and return a :class:`SolveResult`.
-
-    Parameters
-    ----------
-    problem:
-        The model to solve.
-    solver:
-        ``"auto"`` (default), ``"scipy"``, ``"native"`` or ``"structured"``.
-    node_limit:
-        Branch & bound node limit (native solver only).
-    time_limit:
-        Optional wall-clock limit in seconds.
-    session:
-        Optional :class:`~repro.milp.session.SolverSession` for warm-start
-        reuse across repeated, similar solves.
-    """
-    if problem.num_variables == 0:
-        raise ValueError("cannot solve a problem with no variables")
-    form = problem.to_standard_form()
-    status, x, objective, iterations, nodes, used, solve_time = solve_standard_form(
-        form, solver=solver, node_limit=node_limit, time_limit=time_limit,
-        session=session,
-    )
-    return _result_from_arrays(
-        problem, form, status, x, objective, iterations, nodes, used, solve_time
-    )

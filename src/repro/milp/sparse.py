@@ -1,6 +1,6 @@
 """Sparse (CSR) constraint data carried alongside :class:`StandardForm`.
 
-The modeling layer keeps emitting dense arrays — they are convenient to build
+Placement forms keep their dense arrays — they are convenient to build
 and the placement matrices are tiny per round — but the solver core works on
 compressed rows: the revised simplex prices columns through one sparse
 ``A.T @ y`` product per iteration and gathers basis columns without scanning

@@ -1,12 +1,14 @@
-"""Solve statuses and results returned by every MILP/LP backend."""
+"""Result types shared by every LP/MILP backend: the solve status and the LP
+solution record."""
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from collections.abc import Mapping
 
-__all__ = ["SolveStatus", "SolveResult"]
+import numpy as np
+
+__all__ = ["LPSolution", "SolveStatus"]
 
 
 class SolveStatus(enum.Enum):
@@ -26,39 +28,18 @@ class SolveStatus(enum.Enum):
 
 
 @dataclasses.dataclass(frozen=True)
-class SolveResult:
-    """Result of solving a :class:`~repro.milp.problem.Problem`.
+class LPSolution:
+    """Result of an LP solve in array form.
 
-    Attributes
-    ----------
-    status:
-        Outcome of the solve.
-    objective:
-        Objective value at the returned solution (``nan`` when no solution).
-    values:
-        Mapping from variable *name* to value.  Variable names are unique per
-        problem, enforced by :class:`~repro.milp.problem.Problem`.
-    iterations:
-        Simplex iterations (native backend) or reported iteration count.
-    nodes:
-        Branch-and-bound nodes explored (1 for pure LPs).
-    solver:
-        Name of the backend that produced the result.
-    solve_time:
-        Wall-clock seconds spent inside the backend.
+    ``warm_used`` reports whether a supplied warm-start basis actually
+    survived validation and seeded the solve (the revised simplex silently
+    falls back to a cold start on stale bases; accounting must follow what
+    really happened, not what was requested).
     """
 
     status: SolveStatus
+    x: np.ndarray
     objective: float
-    values: Mapping[str, float]
-    iterations: int = 0
-    nodes: int = 0
-    solver: str = ""
+    iterations: int
     solve_time: float = 0.0
-
-    def __getitem__(self, name: str) -> float:
-        return self.values[name]
-
-    def value_or(self, name: str, default: float = 0.0) -> float:
-        """Value of variable ``name`` or ``default`` when absent."""
-        return float(self.values.get(name, default))
+    warm_used: bool = False

@@ -1,11 +1,12 @@
 """Structure-aware solve path for WaterWise placement forms.
 
-:func:`build_placement_problem` / :func:`build_placement_form` emit MILPs with
-a rigid shape — assignment equalities, capacity rows, delay rows, optionally
+:func:`repro.core.objective.build_placement_form` emits MILPs with a rigid
+shape — assignment equalities, capacity rows, delay rows, optionally
 per-placement penalty columns.  :func:`detect_placement` recognizes that shape
-from the raw arrays alone (no side channel from the modeling layer) and
-recovers the scheduling matrices; :func:`solve_placement` then exploits two
-structural facts the generic solvers cannot see:
+(from the structure ``build_placement_form`` attaches, or by scanning the raw
+arrays of any other form) and recovers the scheduling matrices;
+:func:`solve_placement` then exploits two structural facts the generic
+solvers cannot see:
 
 * **Delay rows couple to the assignment rows.**  Exactly one placement binary
   per job is 1, so a hard delay row forbids precisely the placements whose
@@ -44,7 +45,7 @@ from repro.milp.problem import StandardForm
 from repro.milp.revised_simplex import BoundedLP
 from repro.milp.session import SolverSession
 from repro.milp.sparse import CsrMatrix
-from repro.milp.status import SolveStatus
+from repro.milp.status import LPSolution, SolveStatus
 
 __all__ = ["PlacementStructure", "detect_placement", "solve_placement"]
 
@@ -332,7 +333,6 @@ def _scipy_relaxation(reduced: StandardForm, time_limit: float | None = None):
     from scipy import optimize
 
     from repro.milp.scipy_backend import _LINPROG_STATUS, _as_scipy_csr
-    from repro.milp.simplex import LPSolution
 
     options = {"time_limit": float(time_limit)} if time_limit is not None else None
     result = optimize.linprog(
@@ -375,7 +375,6 @@ def _reduced_form(
     )
 
     return StandardForm(
-        variables=(),
         c=c,
         c0=0.0,
         a_ub=a_ub,

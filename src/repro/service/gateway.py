@@ -271,8 +271,9 @@ class AdmissionGateway:
     async def checkpoint(self, path, extra: dict | None = None) -> None:
         """Checkpoint the live session between admissions (format 3 path).
 
-        An ``OSError`` from writing ``path`` is raised here and the gateway
-        keeps serving; any other failure poisons it, like an admission error.
+        Any error from saving — an unwritable ``path``, or a session with
+        nothing admitted yet — is raised here and fails only this request:
+        saving changes no engine state, so the gateway keeps serving.
         """
         self._ensure_open()
         future = asyncio.get_running_loop().create_future()
@@ -441,8 +442,8 @@ class AdmissionGateway:
                     path, extra = request.payload
                     try:
                         engine.save_checkpoint(path, extra=extra)
-                    except OSError as error:
-                        # An unwritable path fails this request only: saving
+                    except Exception as error:
+                        # A failed save fails this request only: saving
                         # changes no engine state and leaves no temp file.
                         request.future.set_exception(error)
                         continue
@@ -453,12 +454,13 @@ class AdmissionGateway:
                     self._resolve(engine.drain_decisions())
                     request.future.set_result(result)
                     return
-        except asyncio.CancelledError:
-            raise
-        except BaseException as error:
+        except Exception as error:
             # The engine's state is suspect after an admission error: fail
             # every waiter, the request in flight and the queued ones, and
-            # poison the gateway so submits stop cleanly.
+            # poison the gateway so submits stop cleanly.  The loop then
+            # ends normally: the error lives on in ``_failure``, which every
+            # later call reports, so nothing is left to retrieve from the
+            # task itself.
             self._failure = error
             self._fail_waiters(error)
             stale = [request] if request is not None else []
@@ -467,4 +469,3 @@ class AdmissionGateway:
             for pending in stale:
                 if pending.future is not None and not pending.future.done():
                     pending.future.set_exception(error)
-            raise

@@ -19,8 +19,11 @@ Requests (``op`` field selects):
 * ``{"op": "shutdown"}`` — finalize the engine and stop the server.
 
 Errors come back as ``{"ok": false, "error": "..."}`` on the connection that
-caused them; the server itself stays up (except for engine-poisoning
-failures, which the gateway reports to every subsequent request).
+caused them; the server itself stays up.  An engine fault poisons the
+gateway, which then reports the failure to every later request; ``shutdown``
+still stops the server (answering ``ok: false``), and
+:meth:`AdmissionServer.serve_until_shutdown` returns ``None`` in place of the
+engine result.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ class AdmissionServer:
         return self
 
     async def serve_until_shutdown(self):
-        """Block until a client sends ``shutdown``; returns the engine result."""
+        """Block until a client sends ``shutdown``; returns the engine result
+        (``None`` when a fault had poisoned the gateway)."""
         async with self._server:
             await self._shutdown.wait()
         return self.result
@@ -99,8 +103,12 @@ class AdmissionServer:
             await self.gateway.checkpoint(request["path"])
             return {"ok": True, "path": request["path"]}
         if op == "shutdown":
-            self.result = await self.gateway.close()
-            self._shutdown.set()
+            try:
+                self.result = await self.gateway.close()
+            finally:
+                # A poisoned gateway cannot finalize, but the server must
+                # still stop.
+                self._shutdown.set()
             return {"ok": True, "jobs": self.gateway.stats().decided}
         return {"ok": False, "error": f"unknown op {op!r}"}
 

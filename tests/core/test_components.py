@@ -120,14 +120,18 @@ class TestSlackManager:
         job = make_job(0, exec_time=1000.0)
         fresh = make_context(delay_tolerance=0.5, wait_times={0: 0.0})
         waited = make_context(delay_tolerance=0.5, wait_times={0: 400.0})
-        assert manager.urgency(job, waited) < manager.urgency(job, fresh)
+        assert (
+            manager.select([job], waited, capacity_slots=1).scores[0]
+            < manager.select([job], fresh, capacity_slots=1).scores[0]
+        )
 
     def test_urgency_grows_with_execution_time(self, make_context):
         manager = SlackManager()
         context = make_context(delay_tolerance=0.5)
         short = make_job(0, exec_time=600.0)
         long = make_job(1, exec_time=6000.0)
-        assert manager.urgency(long, context) > manager.urgency(short, context)
+        scores = manager.select([short, long], context, capacity_slots=2).scores
+        assert scores[1] > scores[0]
 
     def test_selection_prefers_most_urgent(self, make_context):
         manager = SlackManager()

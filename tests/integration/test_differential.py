@@ -273,32 +273,6 @@ class TestRegistryWideEquivalence:
         vector.region_utilization = dict(scalar.region_utilization)
         assert vector.digest() == scalar.digest()
 
-    @pytest.mark.parametrize("policy", ["waterwise", "waterwise-cost-aware"])
-    def test_decision_pipelines_are_decision_identical(self, policy, dataset,
-                                                       scenario_traces):
-        # The array decision pipeline (vectorized slack + standard-form MILP,
-        # the default) against the object reference pipeline (per-job slack
-        # scoring + Variable/Constraint model), through the scalar engine
-        # where both are reachable.
-        from repro.core.config import WaterWiseConfig
-
-        trace = scenario_traces["bursty"]
-        for servers in (24, 2):
-            reference = Simulator(
-                trace,
-                make_scheduler(policy, config=WaterWiseConfig(decision_pipeline="object")),
-                dataset=dataset, servers_per_region=servers,
-            ).run()
-            array = Simulator(
-                trace, make_scheduler(policy), dataset=dataset,
-                servers_per_region=servers,
-            ).run()
-            ref, arr = reference.outcomes, array.outcomes
-            assert [o.executed_region for o in ref] == [o.executed_region for o in arr]
-            assert [o.start_time for o in ref] == [o.start_time for o in arr]
-            assert [o.finish_time for o in ref] == [o.finish_time for o in arr]
-            assert [o.deferrals for o in ref] == [o.deferrals for o in arr]
-
     def test_fused_sweep_matches_per_cell_at_multiple_worker_counts(self):
         # run_sweep's fused shards must return outcomes element-wise
         # equivalent to the per-cell batch oracle, on both transports.

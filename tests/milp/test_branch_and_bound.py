@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.milp import ObjectiveSense, Problem, VarType, Variable, lin_sum
 from repro.milp.branch_and_bound import solve_milp_arrays
 from repro.milp.scipy_backend import solve_form_scipy
 from repro.milp.status import SolveStatus
 
+from .forms import standard_form
 
-def _knapsack_problem(values, weights, capacity):
-    prob = Problem("knapsack", sense=ObjectiveSense.MAXIMIZE)
-    xs = [Variable(f"x{i}", var_type=VarType.BINARY) for i in range(len(values))]
-    prob.set_objective(lin_sum(v * x for v, x in zip(values, xs)))
-    prob.add_constraint(lin_sum(w * x for w, x in zip(weights, xs)) <= capacity)
-    return prob, xs
+
+def _knapsack_form(values, weights, capacity):
+    return standard_form(
+        values, a_ub=[weights], b_ub=[capacity], upper=1.0, integrality=True,
+        maximize=True,
+    )
 
 
 def _brute_force_knapsack(values, weights, capacity):
@@ -34,18 +34,14 @@ class TestKnapsack:
         values = [10, 13, 18, 31, 7, 15]
         weights = [2, 3, 4, 5, 1, 4]
         capacity = 10
-        prob, _ = _knapsack_problem(values, weights, capacity)
-        form = prob.to_standard_form()
-        result = solve_milp_arrays(form)
+        result = solve_milp_arrays(_knapsack_form(values, weights, capacity))
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(
             _brute_force_knapsack(values, weights, capacity)
         )
 
     def test_solution_is_binary(self):
-        prob, xs = _knapsack_problem([4, 5, 6], [2, 3, 4], 5)
-        form = prob.to_standard_form()
-        result = solve_milp_arrays(form)
+        result = solve_milp_arrays(_knapsack_form([4, 5, 6], [2, 3, 4], 5))
         assert set(np.round(result.x).tolist()) <= {0.0, 1.0}
 
     @settings(max_examples=25, deadline=None)
@@ -55,8 +51,7 @@ class TestKnapsack:
         values = rng.integers(1, 20, size=n).tolist()
         weights = rng.integers(1, 10, size=n).tolist()
         capacity = int(max(1, rng.integers(1, max(2, sum(weights)))))
-        prob, _ = _knapsack_problem(values, weights, capacity)
-        result = solve_milp_arrays(prob.to_standard_form())
+        result = solve_milp_arrays(_knapsack_form(values, weights, capacity))
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(
             _brute_force_knapsack(values, weights, capacity)
@@ -69,8 +64,7 @@ class TestKnapsack:
         values = rng.integers(1, 20, size=n).tolist()
         weights = rng.integers(1, 10, size=n).tolist()
         capacity = int(max(1, rng.integers(1, max(2, sum(weights)))))
-        prob, _ = _knapsack_problem(values, weights, capacity)
-        form = prob.to_standard_form()
+        form = _knapsack_form(values, weights, capacity)
         native = solve_milp_arrays(form)
         status, _x, objective, _nodes, _t = solve_form_scipy(form)
         assert native.status is SolveStatus.OPTIMAL
@@ -82,29 +76,25 @@ class TestGeneralMILP:
     def test_integer_rounding_not_valid_shortcut(self):
         # Classic example where rounding the LP relaxation is wrong:
         # max x + y s.t. -2x + 2y >= 1, -8x + 10y <= 13, x, y integer >= 0.
-        prob = Problem("tricky", sense=ObjectiveSense.MAXIMIZE)
-        x = Variable("x", low=0, var_type=VarType.INTEGER)
-        y = Variable("y", low=0, var_type=VarType.INTEGER)
-        prob.set_objective(x + y)
-        prob.add_constraint(-2 * x + 2 * y >= 1)
-        prob.add_constraint(-8 * x + 10 * y <= 13)
-        result = solve_milp_arrays(prob.to_standard_form(), node_limit=5000)
+        form = standard_form(
+            [1.0, 1.0], a_ub=[[2.0, -2.0], [-8.0, 10.0]], b_ub=[-1.0, 13.0],
+            integrality=True, maximize=True,
+        )
+        result = solve_milp_arrays(form, node_limit=5000)
         assert result.status is SolveStatus.OPTIMAL
-        values = dict(zip([v.name for v in prob.to_standard_form().variables], result.x))
-        assert values["y"] - values["x"] >= 0.5  # first constraint holds
+        x, y = result.x
+        assert y - x >= 0.5  # first constraint holds
         assert result.objective == pytest.approx(3.0)  # known optimum x=1, y=2
 
     def test_equality_constrained_assignment(self):
         # 3 jobs x 3 machines assignment with distinct costs has a unique optimum.
         costs = np.array([[4.0, 2.0, 8.0], [4.0, 3.0, 7.0], [3.0, 1.0, 6.0]])
-        prob = Problem("assign")
-        x = [[Variable(f"x_{i}_{j}", var_type=VarType.BINARY) for j in range(3)] for i in range(3)]
-        prob.set_objective(lin_sum(costs[i, j] * x[i][j] for i in range(3) for j in range(3)))
-        for i in range(3):
-            prob.add_constraint(lin_sum(x[i]) == 1)
-        for j in range(3):
-            prob.add_constraint(lin_sum(x[i][j] for i in range(3)) == 1)
-        result = solve_milp_arrays(prob.to_standard_form())
+        # x[i, j] row-major; each job and each machine is used exactly once.
+        a_eq = np.vstack([np.kron(np.eye(3), np.ones(3)), np.tile(np.eye(3), 3)])
+        form = standard_form(
+            costs.ravel(), a_eq=a_eq, b_eq=np.ones(6), upper=1.0, integrality=True,
+        )
+        result = solve_milp_arrays(form)
         assert result.status is SolveStatus.OPTIMAL
         # Hungarian-optimal assignment cost for this matrix is 2 + 4 + 6 = 12 ... verify
         # by brute force over permutations.
@@ -114,18 +104,15 @@ class TestGeneralMILP:
         assert result.objective == pytest.approx(best)
 
     def test_infeasible_milp(self):
-        prob = Problem("infeasible")
-        x = Variable("x", var_type=VarType.BINARY)
-        prob.set_objective(x)
-        prob.add_constraint(x >= 2)  # impossible for a binary variable
-        result = solve_milp_arrays(prob.to_standard_form())
+        # x >= 2 is impossible for a binary variable.
+        form = standard_form([1.0], a_ub=[[-1.0]], b_ub=[-2.0], upper=1.0, integrality=True)
+        result = solve_milp_arrays(form)
         assert result.status is SolveStatus.INFEASIBLE
 
     def test_unbounded_milp(self):
-        prob = Problem("unbounded", sense=ObjectiveSense.MAXIMIZE)
-        x = Variable("x", low=0, var_type=VarType.INTEGER)
-        prob.set_objective(x)
-        result = solve_milp_arrays(prob.to_standard_form())
+        # max x over the non-negative integers.
+        form = standard_form([1.0], integrality=True, maximize=True)
+        result = solve_milp_arrays(form)
         assert result.status is SolveStatus.UNBOUNDED
 
     def test_node_limit_returns_limit_status(self):
@@ -133,23 +120,21 @@ class TestGeneralMILP:
         n = 14
         values = rng.uniform(1, 30, size=n)
         weights = rng.uniform(1, 10, size=n)
-        prob, _ = _knapsack_problem(values.tolist(), weights.tolist(), float(weights.sum()) / 2)
-        result = solve_milp_arrays(prob.to_standard_form(), node_limit=1)
+        form = _knapsack_form(values.tolist(), weights.tolist(), float(weights.sum()) / 2)
+        result = solve_milp_arrays(form, node_limit=1)
         assert result.status in (SolveStatus.NODE_LIMIT, SolveStatus.OPTIMAL)
 
     def test_mixed_integer_continuous(self):
         # min 2x + 3y, x integer in [0, 10], y continuous >= 0, x + y >= 3.5
-        prob = Problem("mixed")
-        x = Variable("x", low=0, up=10, var_type=VarType.INTEGER)
-        y = Variable("y", low=0)
-        prob.set_objective(2 * x + 3 * y)
-        prob.add_constraint(x + y >= 3.5)
-        result = solve_milp_arrays(prob.to_standard_form())
+        form = standard_form(
+            [2.0, 3.0], a_ub=[[-1.0, -1.0]], b_ub=[-3.5], upper=[10.0, np.inf],
+            integrality=[True, False],
+        )
+        result = solve_milp_arrays(form)
         assert result.status is SolveStatus.OPTIMAL
         # cheapest: x = 3 (cost 6) + y = 0.5 (cost 1.5) = 7.5 vs x=4 -> 8.0
         assert result.objective == pytest.approx(7.5)
 
     def test_gap_zero_on_full_exploration(self):
-        prob, _ = _knapsack_problem([5, 4, 3], [3, 2, 2], 4)
-        result = solve_milp_arrays(prob.to_standard_form())
+        result = solve_milp_arrays(_knapsack_form([5, 4, 3], [3, 2, 2], 4))
         assert result.gap == pytest.approx(0.0, abs=1e-9)

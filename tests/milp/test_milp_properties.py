@@ -1,9 +1,9 @@
 """Property-based tests for the MILP layer as a whole.
 
-Random placement-shaped MILPs (assignment + capacity structure, the same
-shape WaterWise builds every round) are generated and solved with both the
-native branch & bound and the SciPy/HiGHS backend; the two exact solvers must
-agree and their solutions must satisfy every constraint.
+Random placement MILPs (WaterWise's own builder with every delay row slack,
+leaving the assignment + capacity structure) are solved with both the
+native core and the SciPy/HiGHS backend; the two exact solvers must agree
+and their solutions must satisfy every constraint.
 """
 
 import numpy as np
@@ -11,25 +11,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.milp import Problem, SolveStatus, VarType, Variable, lin_sum, solve
+from repro.core.config import WaterWiseConfig
+from repro.core.objective import build_placement_form
+from repro.milp import SolveStatus, solve_standard_form
 
 
-def _placement_problem(costs: np.ndarray, capacities: np.ndarray) -> Problem:
-    """min sum c[m,n] x[m,n]  s.t. each job assigned once, capacity per region."""
+def _placement_form(costs: np.ndarray, capacities: np.ndarray):
+    """min sum c[m,n] x[m,n]  s.t. each job assigned once, capacity per region.
+
+    One-server jobs with zero transfer latency, so every delay row holds.
+    """
     m_jobs, n_regions = costs.shape
-    prob = Problem("placement")
-    x = [
-        [Variable(f"x_{m}_{n}", var_type=VarType.BINARY) for n in range(n_regions)]
-        for m in range(m_jobs)
-    ]
-    prob.set_objective(
-        lin_sum(float(costs[m, n]) * x[m][n] for m in range(m_jobs) for n in range(n_regions))
+    return build_placement_form(
+        costs, np.zeros((m_jobs, n_regions)), np.ones(m_jobs), np.ones(m_jobs),
+        capacities, WaterWiseConfig(),
     )
-    for m in range(m_jobs):
-        prob.add_constraint(lin_sum(x[m]) == 1)
-    for n in range(n_regions):
-        prob.add_constraint(lin_sum(x[m][n] for m in range(m_jobs)) <= int(capacities[n]))
-    return prob
 
 
 @st.composite
@@ -52,22 +48,18 @@ class TestPlacementMILPs:
     @given(instance=placement_instance())
     def test_backends_agree_and_solutions_feasible(self, instance):
         costs, capacities = instance
-        prob = _placement_problem(costs, capacities)
-        native = solve(prob, solver="native")
-        scipy_result = solve(prob, solver="scipy")
-        assert native.status is SolveStatus.OPTIMAL
-        assert scipy_result.status is SolveStatus.OPTIMAL
-        assert native.objective == pytest.approx(scipy_result.objective, rel=1e-6, abs=1e-6)
+        form = _placement_form(costs, capacities)
+        native_status, x, native_objective, *_ = solve_standard_form(form, solver="native")
+        scipy_status, _x, scipy_objective, *_ = solve_standard_form(form, solver="scipy")
+        assert native_status is SolveStatus.OPTIMAL
+        assert scipy_status is SolveStatus.OPTIMAL
+        assert native_objective == pytest.approx(scipy_objective, rel=1e-6, abs=1e-6)
 
-        # Reconstruct and verify the native solution.
-        m_jobs, n_regions = costs.shape
-        assignment = np.zeros((m_jobs, n_regions))
-        for m in range(m_jobs):
-            for n in range(n_regions):
-                assignment[m, n] = native.values[f"x_{m}_{n}"]
+        # Verify the native solution.
+        assignment = x.reshape(costs.shape)
         np.testing.assert_allclose(assignment.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(assignment.sum(axis=0) <= capacities + 1e-6)
-        assert native.objective == pytest.approx(float((assignment * costs).sum()), abs=1e-6)
+        assert native_objective == pytest.approx(float((assignment * costs).sum()), abs=1e-6)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -80,17 +72,16 @@ class TestPlacementMILPs:
         costs = rng.uniform(0.1, 5.0, size=(m_jobs, n_regions))
         capacities = np.zeros(n_regions, dtype=int)
         capacities[0] = m_jobs - 1  # one job too many
-        prob = _placement_problem(costs, capacities)
+        form = _placement_form(costs, capacities)
         for solver in ("native", "scipy"):
-            assert solve(prob, solver=solver).status is SolveStatus.INFEASIBLE
+            assert solve_standard_form(form, solver=solver)[0] is SolveStatus.INFEASIBLE
 
     @settings(max_examples=15, deadline=None)
     @given(instance=placement_instance())
     def test_optimal_is_lower_bound_of_greedy(self, instance):
         """The MILP optimum is never worse than a greedy capacity-respecting assignment."""
         costs, capacities = instance
-        prob = _placement_problem(costs, capacities)
-        optimal = solve(prob).objective
+        optimal = solve_standard_form(_placement_form(costs, capacities))[2]
 
         remaining = capacities.astype(float).copy()
         greedy_total = 0.0

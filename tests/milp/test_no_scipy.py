@@ -7,6 +7,7 @@ interpreter with a meta-path hook that blocks every ``scipy`` import and
 exercises an LP, a MILP and a placement form end to end.
 """
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -24,31 +25,26 @@ sys.meta_path.insert(0, _BlockScipy())
 
 import numpy as np
 
-from repro.milp import Problem, Variable, VarType, solve
 from repro.core.config import WaterWiseConfig
 from repro.core.objective import build_placement_form
 from repro.milp.solver import solve_standard_form
 from repro.milp.status import SolveStatus
+from tests.milp.forms import standard_form
 
-# LP through the auto dispatch (scipy missing -> native fallback).
-prob = Problem("lp")
-x = Variable("x", low=0.0, up=4.0)
-y = Variable("y", low=0.0)
-prob.set_objective(-2 * x - 3 * y)
-prob.add_constraint(x + y <= 5)
-result = solve(prob, solver="auto")
-assert result.status is SolveStatus.OPTIMAL, result.status
-assert result.solver == "native", result.solver
-assert abs(result.objective - (-3 * 5)) < 1e-9, result.objective  # x=0, y=5
+# LP through the auto dispatch (scipy missing -> native fallback):
+# min -2x - 3y  s.t.  x + y <= 5,  0 <= x <= 4,  y >= 0.
+lp = standard_form([-2.0, -3.0], a_ub=[[1.0, 1.0]], b_ub=[5.0], upper=[4.0, np.inf])
+status, _x, objective, _i, _nodes, solver, _t = solve_standard_form(lp, solver="auto")
+assert status is SolveStatus.OPTIMAL, status
+assert solver == "native", solver
+assert abs(objective - (-3 * 5)) < 1e-9, objective  # x=0, y=5
 
 # MILP through the native branch & bound.
-milp = Problem("milp")
-a = Variable("a", var_type=VarType.INTEGER, low=0, up=3)
-b = Variable("b", var_type=VarType.INTEGER, low=0, up=3)
-milp.set_objective(-1.7 * a - 1.1 * b)
-milp.add_constraint(1.9 * a + 0.9 * b <= 4.0)
-result = solve(milp, solver="auto")
-assert result.status is SolveStatus.OPTIMAL, result.status
+milp = standard_form(
+    [-1.7, -1.1], a_ub=[[1.9, 0.9]], b_ub=[4.0], upper=3.0, integrality=True,
+)
+status, *_ = solve_standard_form(milp, solver="auto")
+assert status is SolveStatus.OPTIMAL, status
 
 # A placement form through the structured path (saturated -> LP relaxation,
 # which must use the native simplex when scipy is unavailable).
@@ -67,12 +63,13 @@ print("OK")
 
 
 def test_native_core_runs_without_scipy():
-    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    root = pathlib.Path(__file__).resolve().parents[2]
     proc = subprocess.run(
         [sys.executable, "-c", _SCRIPT],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)]),
+             "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, f"stdout={proc.stdout}\nstderr={proc.stderr}"
     assert proc.stdout.strip().endswith("OK")

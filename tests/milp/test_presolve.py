@@ -6,35 +6,16 @@ import pytest
 from repro.core.config import WaterWiseConfig
 from repro.core.objective import build_placement_form
 from repro.milp.presolve import presolve
-from repro.milp.problem import StandardForm
 from repro.milp.scipy_backend import solve_form_scipy
 from repro.milp.solver import solve_standard_form
 from repro.milp.status import SolveStatus
 
-
-def _form(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, lower=None, upper=None,
-          integrality=None):
-    c = np.asarray(c, dtype=float)
-    n = len(c)
-    return StandardForm(
-        variables=(),
-        c=c,
-        c0=0.0,
-        a_ub=np.asarray(a_ub, dtype=float) if a_ub is not None else np.zeros((0, n)),
-        b_ub=np.asarray(b_ub, dtype=float) if b_ub is not None else np.zeros(0),
-        a_eq=np.asarray(a_eq, dtype=float) if a_eq is not None else np.zeros((0, n)),
-        b_eq=np.asarray(b_eq, dtype=float) if b_eq is not None else np.zeros(0),
-        lower=np.asarray(lower, dtype=float) if lower is not None else np.zeros(n),
-        upper=np.asarray(upper, dtype=float) if upper is not None else np.full(n, np.inf),
-        integrality=np.asarray(integrality, dtype=bool) if integrality is not None
-        else np.zeros(n, dtype=bool),
-        maximize=False,
-    )
+from .forms import standard_form
 
 
 class TestFixedVariableElimination:
     def test_fixed_column_removed_and_substituted(self):
-        form = _form(
+        form = standard_form(
             c=[1.0, 2.0],
             a_ub=[[1.0, 1.0]], b_ub=[5.0],
             lower=[3.0, 0.0], upper=[3.0, 10.0],
@@ -47,7 +28,7 @@ class TestFixedVariableElimination:
         assert pre.upper[0] <= 2.0 + 1e-9
 
     def test_postsolve_restores_fixed_values(self):
-        form = _form(c=[1.0, 1.0], lower=[2.5, 0.0], upper=[2.5, 1.0])
+        form = standard_form(c=[1.0, 1.0], lower=[2.5, 0.0], upper=[2.5, 1.0])
         pre = presolve(form)
         x = pre.postsolve(np.array([0.75]))
         assert x == pytest.approx([2.5, 0.75])
@@ -56,7 +37,7 @@ class TestFixedVariableElimination:
         # x + y = 2 inside the unit box forces x = y = 1 by tightening alone.
         # Only integer columns and columns fixed on input are substituted
         # out; these continuous ones stay for the solver to settle.
-        form = _form(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[2.0], upper=[1.0, 1.0])
+        form = standard_form(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[2.0], upper=[1.0, 1.0])
         pre = presolve(form)
         assert not pre.infeasible
         assert list(pre.kept_cols) == [0, 1]
@@ -67,7 +48,7 @@ class TestFixedVariableElimination:
         assert objective == pytest.approx(2.0)
 
     def test_integer_column_collapsed_by_tightening_is_eliminated(self):
-        form = _form(
+        form = standard_form(
             c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[2.0], upper=[1.0, 1.0],
             integrality=[True, True],
         )
@@ -78,7 +59,7 @@ class TestFixedVariableElimination:
         assert pre.postsolve(np.zeros(0)) == pytest.approx([1.0, 1.0])
 
     def test_everything_fixed_solves_in_dispatch(self):
-        form = _form(c=[1.0, -1.0], lower=[2.0, 3.0], upper=[2.0, 3.0])
+        form = standard_form(c=[1.0, -1.0], lower=[2.0, 3.0], upper=[2.0, 3.0])
         status, x, objective, _it, _nodes, solver, _t = solve_standard_form(
             form, solver="native"
         )
@@ -91,7 +72,7 @@ class TestFixedVariableElimination:
 class TestBoundTightening:
     def test_continuous_upper_from_row(self):
         # 2x + y <= 4 with y >= 0 implies x <= 2.
-        form = _form(c=[-1.0, 0.0], a_ub=[[2.0, 1.0]], b_ub=[4.0])
+        form = standard_form(c=[-1.0, 0.0], a_ub=[[2.0, 1.0]], b_ub=[4.0])
         pre = presolve(form)
         assert pre.stats.bounds_tightened >= 1
 
@@ -100,17 +81,17 @@ class TestBoundTightening:
         # x (narrower than 1e-7 relative), so presolve does not shrink it
         # further; the same row does tighten a wide or unbounded box.
         row = dict(c=[1.0], a_ub=[[1000.0]], b_ub=[1e-6])
-        narrow = presolve(_form(upper=[1e-8], **row))
+        narrow = presolve(standard_form(upper=[1e-8], **row))
         assert narrow.stats.bounds_tightened == 0
         assert narrow.upper[0] == 1e-8
         for upper in (1.0, np.inf):
-            wide = presolve(_form(upper=[upper], **row))
+            wide = presolve(standard_form(upper=[upper], **row))
             assert wide.stats.bounds_tightened == 1
             assert wide.upper == pytest.approx([1e-9], rel=1e-12)
 
     def test_integer_rounding_fixes_binary(self):
         # 0.8 x <= 0.5 for binary x implies x <= 0.625 → x = 0 after rounding.
-        form = _form(
+        form = standard_form(
             c=[1.0], a_ub=[[0.8]], b_ub=[0.5], upper=[1.0], integrality=[True]
         )
         pre = presolve(form)
@@ -121,7 +102,7 @@ class TestBoundTightening:
         rng = np.random.default_rng(11)
         for _ in range(25):
             n = int(rng.integers(2, 6))
-            form = _form(
+            form = standard_form(
                 c=rng.normal(size=n).round(2),
                 a_ub=rng.normal(size=(3, n)).round(2),
                 b_ub=rng.uniform(0.5, 3.0, 3).round(2),
@@ -138,25 +119,25 @@ class TestBoundTightening:
 class TestRedundancyAndInfeasibility:
     def test_redundant_row_removed(self):
         # x + y <= 100 can never bind inside the unit box.
-        form = _form(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[100.0], upper=[1.0, 1.0])
+        form = standard_form(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[100.0], upper=[1.0, 1.0])
         pre = presolve(form)
         assert pre.a_ub.shape[0] == 0
         assert pre.stats.rows_after < pre.stats.rows_before
 
     def test_crossed_bounds_infeasible(self):
-        form = _form(c=[1.0], lower=[2.0], upper=[1.0])
+        form = standard_form(c=[1.0], lower=[2.0], upper=[1.0])
         assert presolve(form).infeasible
 
     def test_row_activity_infeasible(self):
         # x + y >= 5 (as -x - y <= -5) inside the unit box is impossible.
-        form = _form(
+        form = standard_form(
             c=[1.0, 1.0], a_ub=[[-1.0, -1.0]], b_ub=[-5.0], upper=[1.0, 1.0]
         )
         assert presolve(form).infeasible
 
     def test_integer_bound_gap_infeasible(self):
         # 1.2 <= x <= 1.8 contains no integer.
-        form = _form(c=[1.0], lower=[1.2], upper=[1.8], integrality=[True])
+        form = standard_form(c=[1.0], lower=[1.2], upper=[1.8], integrality=[True])
         assert presolve(form).infeasible
 
 
@@ -176,7 +157,7 @@ class TestPlacementFormReduction:
         assert pre.fixed_values[1] == pytest.approx(0.0)
 
     def test_presolve_stats_ratios(self):
-        form = _form(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[100.0], upper=[1.0, 1.0])
+        form = standard_form(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[100.0], upper=[1.0, 1.0])
         pre = presolve(form)
         assert 0.0 <= pre.stats.row_ratio < 1.0
         assert pre.stats.col_ratio == pytest.approx(1.0)

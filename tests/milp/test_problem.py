@@ -1,161 +1,37 @@
-"""Tests for Problem construction and standard-form conversion."""
+"""Tests for the :class:`StandardForm` array form."""
 
 import numpy as np
 import pytest
 
-from repro.milp import ObjectiveSense, Problem, VarType, Variable, lin_sum
-
-
-class TestProblemConstruction:
-    def test_variables_registered_via_objective_and_constraints(self):
-        prob = Problem("p")
-        x, y, z = Variable("x"), Variable("y"), Variable("z")
-        prob.set_objective(x + y)
-        prob.add_constraint(z <= 3)
-        assert set(v.name for v in prob.variables) == {"x", "y", "z"}
-
-    def test_duplicate_names_rejected(self):
-        prob = Problem("p")
-        prob.add_variable(Variable("x"))
-        with pytest.raises(ValueError):
-            prob.add_variable(Variable("x"))
-
-    def test_same_variable_registered_once(self):
-        prob = Problem("p")
-        x = Variable("x")
-        prob.add_variable(x)
-        prob.add_constraint(x <= 1)
-        prob.set_objective(2 * x)
-        assert prob.num_variables == 1
-
-    def test_iadd_dispatches_constraint_vs_objective(self):
-        prob = Problem("p")
-        x = Variable("x", low=0)
-        prob += 3 * x
-        prob += x <= 10
-        assert prob.num_constraints == 1
-        assert prob.objective.coefficient(x) == 3.0
-
-    def test_add_constraint_type_check(self):
-        prob = Problem("p")
-        with pytest.raises(TypeError):
-            prob.add_constraint("x <= 1")  # type: ignore[arg-type]
-
-    def test_is_mip_detection(self):
-        lp = Problem("lp")
-        lp.set_objective(Variable("x", low=0))
-        assert not lp.is_mip
-        mip = Problem("mip")
-        mip.set_objective(Variable("b", var_type=VarType.BINARY))
-        assert mip.is_mip
-
-    def test_variable_by_name(self):
-        prob = Problem("p")
-        x = Variable("x")
-        prob.add_variable(x)
-        assert prob.variable_by_name("x") is x
-        with pytest.raises(KeyError):
-            prob.variable_by_name("missing")
-
-    def test_extend(self):
-        prob = Problem("p")
-        x, y = Variable("x"), Variable("y")
-        prob.extend([x <= 1, y >= 0])
-        assert prob.num_constraints == 2
-
-    def test_repr_mentions_kind(self):
-        prob = Problem("p")
-        prob.set_objective(Variable("b", var_type=VarType.BINARY))
-        assert "MILP" in repr(prob)
+from .forms import standard_form
 
 
 class TestStandardForm:
-    def test_minimize_objective_passthrough(self):
-        prob = Problem("p")
-        x, y = Variable("x", low=0), Variable("y", low=0)
-        prob.set_objective(2 * x + 3 * y + 7)
-        prob.add_constraint(x + y <= 4)
-        form = prob.to_standard_form()
-        np.testing.assert_allclose(form.c, [2.0, 3.0])
-        assert form.c0 == pytest.approx(7.0)
-        assert not form.maximize
-
-    def test_maximize_negates_objective(self):
-        prob = Problem("p", sense=ObjectiveSense.MAXIMIZE)
-        x = Variable("x", low=0, up=1)
-        prob.set_objective(5 * x)
-        form = prob.to_standard_form()
-        np.testing.assert_allclose(form.c, [-5.0])
-        assert form.maximize
-
-    def test_ge_constraints_are_flipped_to_ub(self):
-        prob = Problem("p")
-        x = Variable("x", low=0)
-        prob.set_objective(x)
-        prob.add_constraint(x >= 2)
-        form = prob.to_standard_form()
-        np.testing.assert_allclose(form.a_ub, [[-1.0]])
-        np.testing.assert_allclose(form.b_ub, [-2.0])
-
-    def test_eq_constraints_kept_separate(self):
-        prob = Problem("p")
-        x, y = Variable("x", low=0), Variable("y", low=0)
-        prob.set_objective(x + y)
-        prob.add_constraint(x + y == 3)
-        form = prob.to_standard_form()
-        assert form.a_eq.shape == (1, 2)
-        np.testing.assert_allclose(form.b_eq, [3.0])
-        assert form.a_ub.shape == (0, 2)
-
-    def test_bounds_and_integrality(self):
-        prob = Problem("p")
-        b = Variable("b", var_type=VarType.BINARY)
-        x = Variable("x", low=-1, up=5)
-        free = Variable("f")
-        prob.set_objective(b + x + free)
-        form = prob.to_standard_form()
-        np.testing.assert_allclose(form.lower, [0.0, -1.0, -np.inf])
-        np.testing.assert_allclose(form.upper, [1.0, 5.0, np.inf])
-        np.testing.assert_array_equal(form.integrality, [True, False, False])
-
     def test_objective_value_respects_sense(self):
-        prob = Problem("p", sense=ObjectiveSense.MAXIMIZE)
-        x = Variable("x", low=0, up=10)
-        prob.set_objective(2 * x + 1)
-        form = prob.to_standard_form()
+        # max 2x + 1 is stored negated, as min -2x - 1.
+        form = standard_form([2.0], c0=1.0, upper=[10.0], maximize=True)
+        np.testing.assert_allclose(form.c, [-2.0])
         assert form.objective_value(np.array([3.0])) == pytest.approx(7.0)
-
-    def test_feasibility_check(self):
-        prob = Problem("p")
-        x = Variable("x", low=0, up=5, var_type=VarType.INTEGER)
-        y = Variable("y", low=0)
-        prob.set_objective(x + y)
-        prob.add_constraint(x + y <= 4)
-        assert prob.is_feasible({x: 2.0, y: 1.0})
-        assert not prob.is_feasible({x: 2.5, y: 1.0})  # fractional integer
-        assert not prob.is_feasible({x: 3.0, y: 2.0})  # constraint violated
-        assert not prob.is_feasible({x: 6.0, y: 0.0})  # bound violated
-
-    def test_objective_value_helper(self):
-        prob = Problem("p")
-        x = Variable("x")
-        prob.set_objective(4 * x + 2)
-        assert prob.objective_value({x: 0.5}) == pytest.approx(4.0)
+        minimize = standard_form([2.0], c0=1.0, upper=[10.0])
+        assert minimize.objective_value(np.array([3.0])) == pytest.approx(7.0)
 
     def test_num_constraints_counts(self):
-        prob = Problem("p")
-        x = Variable("x", low=0)
-        prob.set_objective(x)
-        prob.add_constraint(x <= 1)
-        prob.add_constraint(x >= 0.5)
-        form = prob.to_standard_form()
-        assert form.num_constraints == 2
+        # x <= 1 and x >= 0.5 (negated into a_ub), plus one equality.
+        form = standard_form(
+            [1.0, 1.0], a_ub=[[1.0, 0.0], [-1.0, 0.0]], b_ub=[1.0, -0.5],
+            a_eq=[[1.0, 1.0]], b_eq=[2.0],
+        )
+        assert form.num_variables == 2
+        assert form.num_constraints == 3
 
-    def test_large_model_uses_lin_sum(self):
-        prob = Problem("big")
-        xs = [Variable(f"x{i}", low=0, up=1) for i in range(50)]
-        prob.set_objective(lin_sum(xs))
-        prob.add_constraint(lin_sum(xs) <= 10)
-        form = prob.to_standard_form()
-        assert form.num_variables == 50
-        assert form.a_ub.shape == (1, 50)
+    def test_sparse_view_is_cached_and_matches_dense(self):
+        form = standard_form(
+            [1.0, 2.0, 0.0], a_ub=[[1.0, 0.0, -2.0], [0.0, 0.0, 0.0]], b_ub=[1.0, 0.0],
+            a_eq=[[0.0, 3.0, 0.0]], b_eq=[1.0],
+        )
+        view = form.sparse()
+        # The form is frozen, so one conversion serves every consumer.
+        assert form.sparse() is view
+        np.testing.assert_array_equal(view.a_ub.toarray(), form.a_ub)
+        np.testing.assert_array_equal(view.a_eq.toarray(), form.a_eq)
+        assert view.nnz == 3

@@ -10,28 +10,25 @@ import pytest
 from repro.core.config import WaterWiseConfig
 from repro.core.decision import DecisionController
 from repro.core.objective import build_placement_form
-from repro.milp import Problem, SolverSession, Variable, VarType, solve
+from repro.milp import SolverSession
 from repro.milp.branch_and_bound import solve_milp_arrays
 from repro.milp.revised_simplex import Basis
 from repro.milp.solver import solve_standard_form
 from repro.milp.status import SolveStatus
 
+from .forms import standard_form
+
 
 def _lp_form():
-    prob = Problem("lp")
-    x = Variable("x", low=0.0, up=4.0)
-    y = Variable("y", low=0.0)
-    prob.set_objective(-2 * x - 3 * y)
-    prob.add_constraint(x + y <= 5)
-    return prob.to_standard_form()
+    # min -2x - 3y  s.t.  x + y <= 5,  0 <= x <= 4,  y >= 0.
+    return standard_form([-2.0, -3.0], a_ub=[[1.0, 1.0]], b_ub=[5.0], upper=[4.0, np.inf])
 
 
 def _milp_form():
-    prob = Problem("milp")
-    xs = [Variable(f"x{i}", var_type=VarType.INTEGER, low=0, up=3) for i in range(3)]
-    prob.set_objective(-1.7 * xs[0] - 1.3 * xs[1] - 1.1 * xs[2])
-    prob.add_constraint(1.9 * xs[0] + 1.1 * xs[1] + 0.9 * xs[2] <= 4.7)
-    return prob.to_standard_form()
+    return standard_form(
+        [-1.7, -1.3, -1.1], a_ub=[[1.9, 1.1, 0.9]], b_ub=[4.7], upper=3.0,
+        integrality=True,
+    )
 
 
 class TestSolverSession:
@@ -88,10 +85,11 @@ class TestSolverSession:
         tolerance = np.full(m, 0.5)
         servers = np.ones(m)
         capacity = np.full(n, 10.0)
-        choice, soft, fallback = controller.decide_arrays(
+        choice, soft, fallback, objective = controller.decide_arrays(
             cost, latency, tolerance, servers, capacity, np.zeros(m, dtype=np.int64)
         )
         assert not fallback
+        assert np.isfinite(objective)
         assert controller.session.stats.solves == 1
         controller.reset()
         assert controller.session.stats.solves == 0
@@ -165,13 +163,11 @@ class TestBranchAndBoundDeterminism:
         # Symmetric objective → every node has the same LP bound; the heap
         # must break ties on insertion order (oldest first), making the
         # incumbent deterministic.
-        prob = Problem("sym")
-        xs = [Variable(f"x{i}", var_type=VarType.BINARY) for i in range(4)]
-        prob.set_objective(sum((1.0 * x for x in xs[1:]), 1.0 * xs[0]))
-        prob.add_constraint(
-            sum((1.0 * x for x in xs[1:]), 1.0 * xs[0]) >= 1.5
+        # min sum(x) over four binaries with sum(x) >= 1.5.
+        form = standard_form(
+            np.ones(4), a_ub=[-np.ones(4)], b_ub=[-1.5], upper=1.0, integrality=True,
         )
-        results = {tuple(solve_milp_arrays(prob.to_standard_form()).x) for _ in range(5)}
+        results = {tuple(solve_milp_arrays(form).x) for _ in range(5)}
         assert len(results) == 1
 
     def test_warm_started_tree_matches_cold_objective(self):
@@ -199,15 +195,10 @@ class TestBranchAndBoundDeterminism:
             n = 8
             values = rng.uniform(1.0, 5.0, n).round(2)
             weights = rng.uniform(1.0, 4.0, n).round(2)
-            prob = Problem("knapsack")
-            xs = [Variable(f"x{i}", var_type=VarType.BINARY) for i in range(n)]
-            prob.set_objective(sum((-float(values[i]) * xs[i] for i in range(1, n)),
-                                   -float(values[0]) * xs[0]))
-            prob.add_constraint(
-                sum((float(weights[i]) * xs[i] for i in range(1, n)),
-                    float(weights[0]) * xs[0]) <= float(weights.sum() / 2)
+            form = standard_form(
+                -values, a_ub=[weights], b_ub=[weights.sum() / 2], upper=1.0,
+                integrality=True,
             )
-            form = prob.to_standard_form()
             for node_limit in (3, 5, 8, 12):
                 bb = solve_milp_arrays(form, node_limit=node_limit)
                 if bb.status is SolveStatus.NODE_LIMIT and np.all(np.isfinite(bb.x)):

@@ -1,107 +1,101 @@
-"""Tests for the top-level solve() dispatch across backends."""
+"""Tests for the :func:`solve_standard_form` dispatch across backends."""
 
+import numpy as np
 import pytest
 
-from repro.milp import (
-    ObjectiveSense,
-    Problem,
-    SolveStatus,
-    VarType,
-    Variable,
-    available_solvers,
-    lin_sum,
-    solve,
-)
+from repro.milp import SolveStatus, solve_standard_form
+
+from .forms import standard_form
 
 
 def _production_lp():
     # Furniture-shop LP: max 40 tables + 30 chairs, wood/labor constraints.
-    prob = Problem("production", sense=ObjectiveSense.MAXIMIZE)
-    tables = Variable("tables", low=0)
-    chairs = Variable("chairs", low=0)
-    prob.set_objective(40 * tables + 30 * chairs)
-    prob.add_constraint(2 * tables + 1 * chairs <= 100, name="wood")
-    prob.add_constraint(1 * tables + 1 * chairs <= 80, name="labor")
-    return prob
+    return standard_form(
+        [40.0, 30.0], a_ub=[[2.0, 1.0], [1.0, 1.0]], b_ub=[100.0, 80.0], maximize=True,
+    )
 
 
 def _facility_milp():
-    # Tiny facility-location MILP with a known optimum.
-    prob = Problem("facility")
-    open_a = Variable("open_a", var_type=VarType.BINARY)
-    open_b = Variable("open_b", var_type=VarType.BINARY)
-    serve = {
-        (c, f): Variable(f"serve_{c}_{f}", var_type=VarType.BINARY)
-        for c in ("c1", "c2")
-        for f in ("a", "b")
-    }
-    cost = {("c1", "a"): 1.0, ("c1", "b"): 4.0, ("c2", "a"): 5.0, ("c2", "b"): 1.0}
-    prob.set_objective(
-        10 * open_a + 10 * open_b + lin_sum(cost[k] * v for k, v in serve.items())
+    # Tiny facility-location MILP with a known optimum.  Variables: open_a,
+    # open_b, then serve_{c1,c2}_{a,b}.
+    return standard_form(
+        [10.0, 10.0, 1.0, 4.0, 5.0, 1.0],
+        # A client is served only by an open facility: serve_c_f - open_f <= 0.
+        a_ub=[
+            [-1.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+            [0.0, -1.0, 0.0, 1.0, 0.0, 0.0],
+            [-1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+            [0.0, -1.0, 0.0, 0.0, 0.0, 1.0],
+        ],
+        b_ub=[0.0, 0.0, 0.0, 0.0],
+        # Each client is served exactly once.
+        a_eq=[[0.0, 0.0, 1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 1.0]],
+        b_eq=[1.0, 1.0],
+        upper=1.0,
+        integrality=True,
     )
-    for c in ("c1", "c2"):
-        prob.add_constraint(lin_sum(serve[(c, f)] for f in ("a", "b")) == 1)
-    for (c, f), var in serve.items():
-        prob.add_constraint(var <= (open_a if f == "a" else open_b))
-    return prob
 
 
 class TestSolveDispatch:
-    def test_available_solvers(self):
-        names = available_solvers()
-        assert "scipy" in names and "native" in names and "auto" in names
-
     @pytest.mark.parametrize("solver", ["auto", "scipy", "native"])
     def test_lp_all_backends_agree(self, solver):
-        result = solve(_production_lp(), solver=solver)
-        assert result.status is SolveStatus.OPTIMAL
+        status, x, objective, *_ = solve_standard_form(_production_lp(), solver=solver)
+        assert status is SolveStatus.OPTIMAL
         # Optimum at the intersection of both constraints: 20 tables, 60 chairs.
-        assert result.objective == pytest.approx(2600.0)
-        assert result["tables"] == pytest.approx(20.0)
-        assert result["chairs"] == pytest.approx(60.0)
+        assert objective == pytest.approx(2600.0)
+        assert x == pytest.approx([20.0, 60.0])
 
     @pytest.mark.parametrize("solver", ["auto", "scipy", "native"])
     def test_milp_all_backends_agree(self, solver):
-        result = solve(_facility_milp(), solver=solver)
-        assert result.status is SolveStatus.OPTIMAL
+        status, x, objective, *_ = solve_standard_form(_facility_milp(), solver=solver)
+        assert status is SolveStatus.OPTIMAL
         # Cheapest: open only facility b (10) and serve c1 (4) and c2 (1) from it.
-        assert result.objective == pytest.approx(15.0)
-        assert result["open_b"] == pytest.approx(1.0)
-        assert result["open_a"] == pytest.approx(0.0)
+        assert objective == pytest.approx(15.0)
+        assert x[1] == pytest.approx(1.0)
+        assert x[0] == pytest.approx(0.0)
 
-    def test_values_keyed_by_variable_name(self):
-        result = solve(_production_lp())
-        assert set(result.values) == {"tables", "chairs"}
-        assert result.value_or("missing", default=-1.0) == -1.0
+    @pytest.mark.parametrize("solver", ["auto", "scipy", "native"])
+    def test_infeasible_has_no_solution(self, solver):
+        # x in [0, 1] with x >= 2.
+        form = standard_form([1.0], a_ub=[[-1.0]], b_ub=[-2.0], upper=[1.0])
+        status, x, objective, *_ = solve_standard_form(form, solver=solver)
+        assert status is SolveStatus.INFEASIBLE
+        assert np.isnan(x).all()
+        assert np.isnan(objective)
 
-    def test_infeasible_has_empty_values(self):
-        prob = Problem("bad")
-        x = Variable("x", low=0, up=1)
-        prob.set_objective(x)
-        prob.add_constraint(x >= 2)
-        result = solve(prob)
-        assert result.status is SolveStatus.INFEASIBLE
-        assert result.values == {}
+    @pytest.mark.parametrize("integer", [False, True], ids=["lp", "milp"])
+    @pytest.mark.parametrize("solver", ["auto", "scipy", "native"])
+    def test_crossed_bounds_are_infeasible(self, solver, integer):
+        # The first variable's lower bound exceeds its upper bound; the row
+        # alone is satisfiable.
+        form = standard_form(
+            [1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[4.0], lower=[2.0, 0.0], upper=[1.0, 3.0],
+            integrality=integer,
+        )
+        status, x, *_ = solve_standard_form(form, solver=solver)
+        assert status is SolveStatus.INFEASIBLE
+        assert np.isnan(x).all()
+
+    @pytest.mark.parametrize("solver", ["auto", "scipy", "native"])
+    def test_unbounded_lp_has_no_solution(self, solver):
+        # min -x with x unbounded above; y is capped by its row.
+        form = standard_form([-1.0, 0.0], a_ub=[[0.0, 1.0]], b_ub=[4.0])
+        status, x, *_ = solve_standard_form(form, solver=solver)
+        assert status is SolveStatus.UNBOUNDED
+        assert np.isnan(x).all()
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError):
-            solve(_production_lp(), solver="gurobi")
-
-    def test_empty_problem_rejected(self):
-        with pytest.raises(ValueError):
-            solve(Problem("empty"))
+            solve_standard_form(_production_lp(), solver="gurobi")
 
     def test_solver_name_recorded(self):
-        result = solve(_production_lp(), solver="native")
-        assert result.solver == "native"
-        result = solve(_production_lp(), solver="scipy")
-        assert result.solver == "scipy"
+        assert solve_standard_form(_production_lp(), solver="native")[5] == "native"
+        assert solve_standard_form(_production_lp(), solver="scipy")[5] == "scipy"
 
     def test_maximize_sense_round_trip(self):
-        prob = Problem("max", sense=ObjectiveSense.MAXIMIZE)
-        x = Variable("x", low=0, up=3, var_type=VarType.INTEGER)
-        prob.set_objective(5 * x + 1)
+        # max 5x + 1 over the integers 0..3.
+        form = standard_form([5.0], c0=1.0, upper=[3.0], integrality=[True], maximize=True)
         for solver in ("scipy", "native"):
-            result = solve(prob, solver=solver)
-            assert result.objective == pytest.approx(16.0)
-            assert result["x"] == pytest.approx(3.0)
+            status, x, objective, *_ = solve_standard_form(form, solver=solver)
+            assert objective == pytest.approx(16.0)
+            assert x[0] == pytest.approx(3.0)

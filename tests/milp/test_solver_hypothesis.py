@@ -10,7 +10,6 @@ cases the WaterWise rounds actually produce.
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import optimize
 
 from repro.milp.presolve import presolve
 from repro.milp.problem import StandardForm
@@ -19,6 +18,8 @@ from repro.milp.scipy_backend import scipy_lp_backend, solve_form_scipy
 from repro.milp.simplex import solve_lp_arrays
 from repro.milp.solver import solve_standard_form
 from repro.milp.status import SolveStatus
+
+from .forms import standard_form
 
 _SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -44,43 +45,21 @@ def lp_instances(draw, allow_eq=True, integer=False):
         upper = np.where(rng.random(n) < 0.2, np.inf, rng.uniform(0, 2, n).round(2))
         upper = np.maximum(upper, lower)
         integrality = np.zeros(n, dtype=bool)
-    return StandardForm(
-        variables=(), c=c, c0=0.0, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-        lower=lower, upper=upper, integrality=integrality, maximize=False,
+    return standard_form(
+        c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper,
+        integrality=integrality,
     )
 
 
 def _scipy_reference(form: StandardForm):
     """SciPy/HiGHS reference ``(status, objective)`` for ``form``.
 
-    :func:`solve_form_scipy` snaps the integer columns of a mixed-integer
-    answer to the nearest integers but keeps HiGHS's continuous columns,
-    which were computed for the unsnapped values.  Inside HiGHS's
-    integrality tolerance that point can miss an equality by ~1e-6 and
-    undercut the true optimum by as much.  So the continuous columns are
-    re-solved (``linprog``) with the snapped integers fixed, and that LP's
-    objective is the reference.
+    :func:`solve_form_scipy` re-solves the continuous columns of a
+    mixed-integer answer with its snapped integers fixed, so its objective is
+    that of a feasible point, not one inside HiGHS's tolerances.
     """
-    status, x, objective = solve_form_scipy(form)[:3]
-    integer = form.integrality
-    if status is not SolveStatus.OPTIMAL or not integer.any() or integer.all():
-        return status, objective
-    lower = np.where(integer, x, form.lower)
-    upper = np.where(integer, x, form.upper)
-    polished = optimize.linprog(
-        form.c,
-        A_ub=form.a_ub if form.a_ub.shape[0] else None,
-        b_ub=form.b_ub if form.a_ub.shape[0] else None,
-        A_eq=form.a_eq if form.a_eq.shape[0] else None,
-        b_eq=form.b_eq if form.a_eq.shape[0] else None,
-        bounds=list(zip(lower, upper)),
-        method="highs",
-    )
-    if polished.status != 0:
-        # No feasible continuous completion for the snapped integers: keep
-        # HiGHS's own objective (the comparison is then as strict as before).
-        return status, objective
-    return status, form.objective_value(polished.x)
+    status, _x, objective = solve_form_scipy(form)[:3]
+    return status, objective
 
 
 def _assert_backends_agree(form: StandardForm):
@@ -125,12 +104,10 @@ class TestRandomProblems:
     @given(form=lp_instances(integer=True))
     # HiGHS stops inside its integrality tolerance here: snapping x3 to 3
     # leaves its x1 off the equality by 9.5e-7 and 1e-6 below the optimum.
-    @example(form=StandardForm(
-        variables=(), c=np.array([0.85, 1.32, 0.13, -2.08]), c0=0.0,
-        a_ub=np.zeros((0, 4)), b_ub=np.zeros(0),
-        a_eq=np.array([[-0.56, 1.25, -1.41, -1.13]]), b_eq=np.array([-0.68]),
-        lower=np.zeros(4), upper=np.array([1.0, 4.0, 4.0, 3.0]),
-        integrality=np.array([False, False, False, True]), maximize=False,
+    @example(form=standard_form(
+        [0.85, 1.32, 0.13, -2.08],
+        a_eq=[[-0.56, 1.25, -1.41, -1.13]], b_eq=[-0.68],
+        upper=[1.0, 4.0, 4.0, 3.0], integrality=[False, False, False, True],
     ))
     def test_random_milps_agree_across_backends(self, form):
         _assert_backends_agree(form)
@@ -140,12 +117,11 @@ class TestRandomProblems:
     # Feasible at x ≈ (-0.4194, 0.9280), optimum 0.63056: the equality rows
     # shrink both boxes around that point until fixing x2 at a bound 8e-10
     # off (amplified 15x by the second row) made presolve report infeasible.
-    @example(form=StandardForm(
-        variables=(), c=np.array([-1.57, -0.03]), c0=0.0,
-        a_ub=np.array([[-0.88, -0.6]]), b_ub=np.array([0.12]),
-        a_eq=np.array([[0.9, 0.73], [0.13, 2.02]]), b_eq=np.array([0.3, 1.82]),
-        lower=np.array([-1.45, -1.38]), upper=np.array([0.13, 1.67]),
-        integrality=np.array([False, False]), maximize=False,
+    @example(form=standard_form(
+        [-1.57, -0.03],
+        a_ub=[[-0.88, -0.6]], b_ub=[0.12],
+        a_eq=[[0.9, 0.73], [0.13, 2.02]], b_eq=[0.3, 1.82],
+        lower=[-1.45, -1.38], upper=[0.13, 1.67],
     ))
     def test_presolve_preserves_the_optimum(self, form):
         pre = presolve(form)
@@ -182,11 +158,7 @@ class TestBruteForceGroundTruth:
         a_eq = rng.normal(size=(m_eq, n)).round(2)
         b_eq = rng.normal(size=m_eq).round(2)
         upper = rng.integers(1, 4, n).astype(float)
-        form = StandardForm(
-            variables=(), c=c, c0=0.0, a_ub=np.zeros((0, n)), b_ub=np.zeros(0),
-            a_eq=a_eq, b_eq=b_eq, lower=np.zeros(n), upper=upper,
-            integrality=np.ones(n, dtype=bool), maximize=False,
-        )
+        form = standard_form(c, a_eq=a_eq, b_eq=b_eq, upper=upper, integrality=True)
         native = solve_standard_form(form, solver="native")
         best = None
         for point in itertools.product(*[range(int(u) + 1) for u in upper]):

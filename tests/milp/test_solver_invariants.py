@@ -16,10 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.milp import Problem, SolveStatus, VarType, Variable, lin_sum
+from repro.milp import SolveStatus
 from repro.milp.branch_and_bound import solve_milp_arrays
 from repro.milp.scipy_backend import scipy_lp_backend
 from repro.milp.simplex import solve_lp_arrays
+
+from .forms import standard_form
 
 TOL = 1e-6
 
@@ -99,7 +101,7 @@ class TestSimplexInvariants:
 
 
 def random_bounded_milp(seed: int):
-    """A random small MILP over a bounded integer box (built via Problem)."""
+    """A random small MILP over a bounded integer box."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
     m = int(rng.integers(1, 4))
@@ -109,17 +111,8 @@ def random_bounded_milp(seed: int):
     # RHS keeps the origin feasible.
     b = rng.uniform(0.5, 4.0, size=m)
 
-    prob = Problem(f"milp-{seed}")
-    x = [
-        Variable(f"x{i}", low=0, up=int(bounds[i]), var_type=VarType.INTEGER)
-        for i in range(n)
-    ]
-    prob.set_objective(lin_sum(float(c[i]) * x[i] for i in range(n)))
-    for row in range(m):
-        prob.add_constraint(
-            lin_sum(float(a[row, i]) * x[i] for i in range(n)) <= float(b[row])
-        )
-    return prob, c, a, b, bounds
+    form = standard_form(c, a_ub=a, b_ub=b, upper=bounds, integrality=True)
+    return form, c, a, b, bounds
 
 
 def brute_force_optimum(c, a, b, bounds):
@@ -135,8 +128,7 @@ class TestBranchAndBoundInvariants:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(min_value=0, max_value=100_000))
     def test_solution_integral_feasible_and_brute_force_optimal(self, seed):
-        prob, c, a, b, bounds = random_bounded_milp(seed)
-        form = prob.to_standard_form()
+        form, c, a, b, bounds = random_bounded_milp(seed)
         result = solve_milp_arrays(form)
         assert result.status is SolveStatus.OPTIMAL
         x = result.x
@@ -149,8 +141,7 @@ class TestBranchAndBoundInvariants:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=100_000))
     def test_milp_never_beats_lp_relaxation(self, seed):
-        prob, *_ = random_bounded_milp(seed)
-        form = prob.to_standard_form()
+        form, *_ = random_bounded_milp(seed)
         milp = solve_milp_arrays(form)
         relaxation = solve_lp_arrays(
             form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq, form.lower, form.upper
@@ -162,16 +153,14 @@ class TestBranchAndBoundInvariants:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=100_000))
     def test_gap_zero_and_bound_consistent_on_full_exploration(self, seed):
-        prob, *_ = random_bounded_milp(seed)
-        result = solve_milp_arrays(prob.to_standard_form())
+        form, *_ = random_bounded_milp(seed)
+        result = solve_milp_arrays(form)
         assert result.status is SolveStatus.OPTIMAL
         assert result.gap == 0.0
         assert result.nodes >= 1
 
     def test_infeasible_milp_reported(self):
-        prob = Problem("infeasible")
-        x = Variable("x", low=0, up=3, var_type=VarType.INTEGER)
-        prob.set_objective(1.0 * x)
-        prob.add_constraint(1.0 * x >= 10.0)
-        result = solve_milp_arrays(prob.to_standard_form())
+        # x in 0..3 with x >= 10.
+        form = standard_form([1.0], a_ub=[[-1.0]], b_ub=[-10.0], upper=3.0, integrality=True)
+        result = solve_milp_arrays(form)
         assert result.status is SolveStatus.INFEASIBLE

@@ -1,15 +1,18 @@
 """Tests for the structure-aware placement path (:mod:`repro.milp.structure`)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.config import WaterWiseConfig
 from repro.core.objective import build_placement_form
-from repro.milp import ObjectiveSense, Problem, Variable, VarType
 from repro.milp.session import SolverSession
 from repro.milp.solver import solve_standard_form
 from repro.milp.status import SolveStatus
 from repro.milp.structure import detect_placement, solve_placement
+
+from .forms import standard_form
 
 
 def _random_instance(rng, m_jobs=None, n_regions=None, tight=False):
@@ -41,18 +44,13 @@ class TestDetection:
             assert np.array_equal(struct.servers, servers)
 
     def test_scan_recovers_identical_matrices_without_the_hint(self):
-        # The scalar path builds the same arrays through Variable objects; the
-        # scanner must recover exactly what the array builder attached.
+        # A form rebuilt from the same arrays carries no attached structure;
+        # the scanner must recover exactly what the builder attached.
         rng = np.random.default_rng(1)
         cost, lat, tol, servers, cap = _random_instance(rng, m_jobs=4, n_regions=3)
         form = build_placement_form(cost, lat, tol, servers, cap, WaterWiseConfig())
         hinted = detect_placement(form)
-        rebuilt = type(form)(**{
-            field: getattr(form, field)
-            for field in ("variables", "c", "c0", "a_ub", "b_ub", "a_eq", "b_eq",
-                          "lower", "upper", "integrality", "maximize")
-        })
-        scanned = detect_placement(rebuilt)
+        scanned = detect_placement(dataclasses.replace(form))
         assert scanned is not None
         for field in ("cost", "latency_ratio", "tolerance", "servers", "capacity"):
             assert np.array_equal(getattr(scanned, field), getattr(hinted, field))
@@ -60,11 +58,11 @@ class TestDetection:
         assert scanned.penalty_weight == hinted.penalty_weight
 
     def test_non_placement_forms_are_rejected(self):
-        prob = Problem("knapsack", sense=ObjectiveSense.MAXIMIZE)
-        xs = [Variable(f"x{i}", var_type=VarType.BINARY) for i in range(3)]
-        prob.set_objective(4 * xs[0] + 3 * xs[1] + 5 * xs[2])
-        prob.add_constraint(2 * xs[0] + 3 * xs[1] + 4 * xs[2] <= 5)
-        assert detect_placement(prob.to_standard_form()) is None
+        knapsack = standard_form(
+            [4.0, 3.0, 5.0], a_ub=[[2.0, 3.0, 4.0]], b_ub=[5.0], upper=1.0,
+            integrality=True, maximize=True,
+        )
+        assert detect_placement(knapsack) is None
 
     def test_perturbed_placement_form_is_rejected(self):
         rng = np.random.default_rng(2)
@@ -72,21 +70,14 @@ class TestDetection:
         form = build_placement_form(cost, lat, tol, servers, cap, WaterWiseConfig())
         broken_a_eq = form.a_eq.copy()
         broken_a_eq[0, -1] = 1.0  # job 0 "assigned" through job 2's column
-        rebuilt = type(form)(
-            variables=(), c=form.c, c0=form.c0, a_ub=form.a_ub, b_ub=form.b_ub,
-            a_eq=broken_a_eq, b_eq=form.b_eq, lower=form.lower, upper=form.upper,
-            integrality=form.integrality, maximize=form.maximize,
-        )
-        assert detect_placement(rebuilt) is None
+        assert detect_placement(dataclasses.replace(form, a_eq=broken_a_eq)) is None
 
     def test_lp_relaxation_form_is_rejected(self):
         rng = np.random.default_rng(3)
         cost, lat, tol, servers, cap = _random_instance(rng, m_jobs=3, n_regions=2)
         form = build_placement_form(cost, lat, tol, servers, cap, WaterWiseConfig())
-        relaxed = type(form)(
-            variables=(), c=form.c, c0=form.c0, a_ub=form.a_ub, b_ub=form.b_ub,
-            a_eq=form.a_eq, b_eq=form.b_eq, lower=form.lower, upper=form.upper,
-            integrality=np.zeros_like(form.integrality), maximize=form.maximize,
+        relaxed = dataclasses.replace(
+            form, integrality=np.zeros_like(form.integrality)
         )
         assert detect_placement(relaxed) is None
 
@@ -174,19 +165,15 @@ class TestSolvePlacement:
         assert stats.structured_trivial >= 1
         assert stats.structured_trivial + stats.structured_lp == 3
 
-    def test_object_model_and_array_forms_solve_identically(self):
-        # The scalar engine's Problem-built form and the batch engine's
-        # array-built form must take the same structured path to the same
-        # solution (this is the decision-equivalence contract).
+    def test_hinted_and_scanned_forms_solve_identically(self):
+        # A form carrying the attached structure and the same arrays without
+        # it (recognized by the scan) must take the same structured path to
+        # the same solution.
         pytest.importorskip("scipy")
         rng = np.random.default_rng(7)
         cost, lat, tol, servers, cap = _random_instance(rng, m_jobs=5, n_regions=3)
         form = build_placement_form(cost, lat, tol, servers, cap, WaterWiseConfig())
-        rebuilt = type(form)(**{
-            field: getattr(form, field)
-            for field in ("variables", "c", "c0", "a_ub", "b_ub", "a_eq", "b_eq",
-                          "lower", "upper", "integrality", "maximize")
-        })
+        rebuilt = dataclasses.replace(form)
         hinted = solve_standard_form(form, solver="auto")
         scanned = solve_standard_form(rebuilt, solver="auto")
         assert hinted[0] == scanned[0]

@@ -7,6 +7,7 @@ checkpointing, and the latency/throughput counters.
 """
 
 import asyncio
+import gc
 import itertools
 import pickle
 import types
@@ -378,6 +379,33 @@ class TestLifecycle:
         futures = asyncio.run(scenario())
         assert futures and all(f.done() and not f.cancelled() for f in futures)
 
+    def test_engine_fault_leaves_no_unretrieved_task_exception(self, source, dataset):
+        contexts = []
+
+        def broken_admit(chunk, now=None):
+            raise RuntimeError("engine fault")
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: contexts.append(context)
+            )
+            engine = _engine(source, dataset)
+            engine.admit = broken_admit
+            gateway = await AdmissionGateway(engine).start()
+            with pytest.raises(RuntimeError, match="engine fault"):
+                await asyncio.wait_for(gateway.tick(), timeout=5.0)
+            # The loop ends on the fault and keeps it only in the gateway.
+            await asyncio.wait_for(asyncio.shield(gateway._task), timeout=5.0)
+            return gateway._task
+
+        task = asyncio.run(scenario())
+        assert task.done() and task.exception() is None
+        # Nothing awaits the loop task once the gateway is poisoned; asyncio
+        # logs an exception left on it when the task is collected.
+        del task
+        gc.collect()
+        assert not [c for c in contexts if "never retrieved" in c["message"]]
+
 
 class TestCheckpoint:
     def test_in_loop_checkpoint_roundtrips(self, source, dataset, tmp_path):
@@ -398,6 +426,29 @@ class TestCheckpoint:
         payload = StreamingSimulator.load_checkpoint(target)
         assert payload["extra"]["note"] == "mid-session"
         assert payload["state"].jobs_seen > 0
+
+    def test_checkpoint_before_first_admission_fails_only_that_request(
+        self, source, dataset, tmp_path
+    ):
+        async def scenario():
+            engine = _engine(source, dataset)
+            gateway = await AdmissionGateway(engine).start()
+            # Nothing has been admitted, so there is no session state to save.
+            with pytest.raises(RuntimeError, match="nothing to checkpoint"):
+                await asyncio.wait_for(
+                    gateway.checkpoint(tmp_path / "early.ckpt"), timeout=5.0
+                )
+            # The gateway keeps serving: batches, a later checkpoint and the
+            # finalization all go through.
+            futures = await gateway.submit_nowait(next(source.iter_chunks(64)))
+            await asyncio.wait_for(gateway.checkpoint(tmp_path / "live.ckpt"), timeout=5.0)
+            await asyncio.wait_for(gateway.close(), timeout=30.0)
+            return futures, gateway.stats()
+
+        futures, stats = asyncio.run(scenario())
+        assert stats.checkpoints == 1
+        assert futures and all(f.done() and f.exception() is None for f in futures)
+        assert [path.name for path in tmp_path.iterdir()] == ["live.ckpt"]
 
     def test_unwritable_path_fails_only_that_request(self, source, dataset, tmp_path):
         async def scenario():
@@ -420,17 +471,19 @@ class TestCheckpoint:
         assert all(future.done() and future.exception() is None for future in futures)
         assert [path.name for path in tmp_path.iterdir()] == ["live.ckpt"]
 
-    def test_engine_fault_fails_request_in_flight(self, source, dataset, tmp_path):
-        def broken_save(path, extra=None):
+    def test_engine_fault_fails_request_in_flight(self, source, dataset):
+        # A failed save changes no engine state and fails only its own
+        # request, so the fault is injected into the engine's admission: the
+        # tick in flight must fail with it, and the gateway is poisoned.
+        def broken_admit(chunk, now=None):
             raise RuntimeError("engine fault")
 
         async def scenario():
             engine = _engine(source, dataset)
-            engine.save_checkpoint = broken_save
+            engine.admit = broken_admit
             gateway = await AdmissionGateway(engine).start()
-            await gateway.submit_nowait(next(source.iter_chunks(64)))
             with pytest.raises(RuntimeError, match="engine fault"):
-                await asyncio.wait_for(gateway.checkpoint(tmp_path / "live.ckpt"), timeout=5.0)
+                await asyncio.wait_for(gateway.tick(), timeout=5.0)
             with pytest.raises(RuntimeError, match="failed"):
                 await gateway.submit_nowait(_jobs(engine, 1, start_id=10_000))
 

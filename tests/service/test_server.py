@@ -1,6 +1,7 @@
 """Unit tests for the JSON-lines TCP admission server."""
 
 import asyncio
+import gc
 import json
 
 import pytest
@@ -104,6 +105,12 @@ class TestProtocol:
             engine, server = await _start_server(source, dataset)
             serve = asyncio.ensure_future(server.serve_until_shutdown())
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            # The first op: nothing has been admitted, so there is no
+            # session state to save yet.
+            early = await asyncio.wait_for(
+                _rpc(reader, writer, {"op": "checkpoint", "path": str(tmp_path / "early.ckpt")}),
+                timeout=10.0,
+            )
             unknown = await _rpc(reader, writer, {"op": "transmogrify"})
             missing = await _rpc(
                 reader, writer, {"op": "submit", "jobs": [{"job_id": 1}]}
@@ -130,20 +137,63 @@ class TestProtocol:
                 timeout=10.0,
             )
             # The connection (and the server) survives every error.
-            stats = await _rpc(reader, writer, {"op": "stats"})
-            await _rpc(reader, writer, {"op": "shutdown"})
-            await serve
+            stats = await asyncio.wait_for(_rpc(reader, writer, {"op": "stats"}), timeout=10.0)
+            shutdown = await asyncio.wait_for(
+                _rpc(reader, writer, {"op": "shutdown"}), timeout=10.0
+            )
+            await asyncio.wait_for(serve, timeout=10.0)
             writer.close()
             await server.stop()
-            return unknown, missing, bad_region, fractional, unwritable, stats
+            return early, unknown, missing, bad_region, fractional, unwritable, stats, shutdown
 
-        unknown, missing, bad_region, fractional, unwritable, stats = asyncio.run(scenario())
+        (early, unknown, missing, bad_region, fractional, unwritable, stats,
+         shutdown) = asyncio.run(scenario())
+        assert not early["ok"] and "nothing to checkpoint" in early["error"]
         assert not unknown["ok"] and "transmogrify" in unknown["error"]
         assert not missing["ok"] and "KeyError" in missing["error"]
         assert not bad_region["ok"] and "atlantis" in bad_region["error"]
         assert not fractional["ok"] and "servers_required" in fractional["error"]
         assert not unwritable["ok"] and "FileNotFoundError" in unwritable["error"]
         assert stats["ok"] and stats["stats"]["decided"] == 0
+        assert shutdown["ok"]
+
+    def test_shutdown_stops_a_poisoned_server(self, source, dataset):
+        contexts = []
+
+        def broken_admit(chunk, now=None):
+            raise RuntimeError("engine fault")
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: contexts.append(context)
+            )
+            engine, server = await _start_server(source, dataset)
+            engine.admit = broken_admit
+            serve = asyncio.ensure_future(server.serve_until_shutdown())
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            job = {"job_id": 0, "workload": "web-search", "home_region": engine._keys_tuple[0],
+                   "execution_time": 60.0, "energy_kwh": 0.1}
+            submit = await asyncio.wait_for(
+                _rpc(reader, writer, {"op": "submit", "jobs": [job]}), timeout=10.0
+            )
+            shutdown = await asyncio.wait_for(
+                _rpc(reader, writer, {"op": "shutdown"}), timeout=10.0
+            )
+            # The failed shutdown still stops the server.
+            result = await asyncio.wait_for(serve, timeout=10.0)
+            writer.close()
+            await server.stop()
+            return submit, shutdown, result
+
+        submit, shutdown, result = asyncio.run(scenario())
+        assert not submit["ok"] and "engine fault" in submit["error"]
+        assert not shutdown["ok"] and "admission gateway failed" in shutdown["error"]
+        assert result is None
+        # The gateway reports its failure to every later call; its loop task
+        # must not also hold an exception nobody retrieves, which asyncio
+        # logs once the task is collected.
+        gc.collect()
+        assert not [c for c in contexts if "never retrieved" in c["message"]]
 
     def test_ephemeral_port_resolved(self, source, dataset):
         async def scenario():

@@ -142,12 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
              "scalar = event-at-a-time reference (identical decisions; "
              "default: vector)",
     )
-    simulate.add_argument(
-        "--solver", choices=["auto", "scipy", "native", "structured"], default="auto",
-        help="MILP backend for the WaterWise-family policies (all are exact; "
-             "auto prefers the structured placement path, see README "
-             "'Solver architecture')",
-    )
 
     checkpoint = sub.add_parser(
         "checkpoint",
@@ -359,16 +353,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         policy_names = ["baseline", *args.policies]
     else:
         policy_names = list(args.policies)
-    def _factory(name: str):
-        if name.startswith("waterwise"):
-            # The WaterWise family routes every round through the MILP layer;
-            # --solver picks its backend (other policies never solve MILPs).
-            from repro.core.config import WaterWiseConfig
-
-            return lambda: make_scheduler(name, config=WaterWiseConfig(solver=args.solver))
-        return lambda: make_scheduler(name)
-
-    policies = {name: _factory(name) for name in policy_names}
+    policies = {name: (lambda n=name: make_scheduler(n)) for name in policy_names}
 
     if engine == "fused":
         print(

@@ -208,8 +208,8 @@ class SimulationResult:
     utilization, and the scheduler decision-making overhead.
     """
 
-    #: Aggregate MILP-solver counters for the run (presolve ratios, warm-start
-    #: iteration savings, structured-path hit rates) when the policy routed
+    #: Aggregate MILP-solver counters for the run (warm-start iteration
+    #: savings, structured-path hit rates) when the policy routed
     #: rounds through a :class:`~repro.milp.session.SolverSession`; ``None``
     #: for policies that never solve MILPs.  Set by the engines after
     #: construction.

@@ -256,8 +256,8 @@ class _SimulatorBase:
 
         MILP-backed policies (the WaterWise family) own a
         :class:`~repro.milp.session.SolverSession` through their decision
-        controller; its aggregate statistics (presolve ratios, warm-start
-        savings, structured-path hits) are part of a run's performance story,
+        controller; its aggregate statistics (warm-start savings,
+        structured-path hits) are part of a run's performance story,
         so both engines publish them.  Policies without a controller leave
         ``solver_stats`` as ``None``.
         """

@@ -3,7 +3,7 @@
 This package implements the paper's primary contribution (Sec. 4):
 
 * :mod:`repro.core.config` — the configurable parameters (objective weights,
-  history weight/window, penalty weight, solver choice),
+  history weight/window, penalty weight, ablation switches),
 * :mod:`repro.core.history` — the history learner providing the per-region
   reference terms :math:`CO^{ref}_{2,n}` / :math:`H_2O^{ref}_n`,
 * :mod:`repro.core.slack` — the slack manager and its urgency score (Eq. 14),

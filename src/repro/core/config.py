@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro._validation import ensure_fraction_pair, ensure_non_negative, ensure_one_of, ensure_positive
+from repro._validation import ensure_fraction_pair, ensure_non_negative
 
 __all__ = ["WaterWiseConfig"]
 
@@ -32,12 +32,6 @@ class WaterWiseConfig:
         Number of past scheduling rounds the history learner averages over.
     penalty_weight:
         The σ multiplier of the soft-constraint penalty terms (Eq. 12).
-    solver:
-        MILP backend: ``"auto"``, ``"scipy"``, ``"native"`` or
-        ``"structured"`` (see :mod:`repro.milp.solver` for the dispatch
-        matrix; ``"auto"`` already prefers the structured placement path).
-    solver_time_limit_s:
-        Optional per-round wall-clock limit handed to the solver.
     use_history:
         Disables the history learner when False (ablation hook).
     use_slack_manager:
@@ -54,8 +48,6 @@ class WaterWiseConfig:
     lambda_ref: float = 0.1
     history_window: int = 10
     penalty_weight: float = 10.0
-    solver: str = "auto"
-    solver_time_limit_s: float | None = None
     use_history: bool = True
     use_slack_manager: bool = True
     use_soft_constraints: bool = True
@@ -66,9 +58,6 @@ class WaterWiseConfig:
         if self.history_window < 1:
             raise ValueError("history_window must be >= 1")
         ensure_non_negative(self.penalty_weight, "penalty_weight")
-        ensure_one_of(self.solver, ("auto", "scipy", "native", "structured"), "solver")
-        if self.solver_time_limit_s is not None:
-            ensure_positive(self.solver_time_limit_s, "solver_time_limit_s")
 
     @classmethod
     def with_weights(cls, lambda_co2: float, **kwargs) -> "WaterWiseConfig":

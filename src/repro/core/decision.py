@@ -19,7 +19,7 @@ and hands them to
 :meth:`DecisionController.decide_arrays` — the entry point the batch engines'
 fast path calls directly — which builds the MILP with
 :func:`repro.core.objective.build_placement_form` and solves it through
-:func:`repro.milp.solver.solve_standard_form`.
+:func:`repro.milp.structure.solve_standard_form`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.core.config import WaterWiseConfig
 from repro.core.history import HistoryLearner
 from repro.core.objective import build_placement_form, placement_cost
 from repro.milp.session import SolverSession
-from repro.milp.solver import solve_standard_form
+from repro.milp.structure import solve_standard_form
 from repro.traces.job import Job
 
 __all__ = ["ControllerResult", "DecisionController"]
@@ -208,7 +208,7 @@ class DecisionController:
         remaining tolerance — see :func:`repro.core.objective.placement_cost`)
         instead of ``Job`` objects, builds the MILP with
         :func:`~repro.core.objective.build_placement_form` and solves it
-        through :func:`~repro.milp.solver.solve_standard_form`, updating the
+        through :func:`~repro.milp.structure.solve_standard_form`, updating the
         round counters.  Returns ``(region codes in job order,
         used_soft_constraints, used_fallback, objective)``; the objective is
         ``None`` when the greedy fallback placed the round.
@@ -227,13 +227,8 @@ class DecisionController:
                 cost, latency_ratio, tolerance, servers_required, capacity,
                 self.config, soft=soft,
             )
-            status, x, objective, _iterations, _nodes, _solver, _seconds = (
-                solve_standard_form(
-                    form,
-                    solver=self.config.solver,
-                    time_limit=self.config.solver_time_limit_s,
-                    session=self.session,
-                )
+            status, x, objective, _iterations, _nodes, _seconds = solve_standard_form(
+                form, session=self.session
             )
             if status.is_success:
                 self.rounds_solved += 1

@@ -14,7 +14,7 @@ decision ladder — but reads the batch engine's job columns directly:
   :func:`~repro.schedulers.vectorized.batch_transfer_matrix`, which
   reproduces ``context.transfer_time`` bit-for-bit;
 * the MILP is built by :func:`~repro.core.objective.build_placement_form`
-  and solved through :func:`~repro.milp.solver.solve_standard_form` via
+  and solved through :func:`~repro.milp.structure.solve_standard_form` via
   :meth:`~repro.core.decision.DecisionController.decide_arrays` — the
   entry point the scalar controller's ``decide`` also ends in.
 

@@ -149,7 +149,6 @@ def build_placement_form(
 
     form = StandardForm(
         c=c,
-        c0=0.0,
         a_ub=a_ub,
         b_ub=b_ub,
         a_eq=a_eq,
@@ -157,10 +156,9 @@ def build_placement_form(
         lower=lower,
         upper=upper,
         integrality=integrality,
-        maximize=False,
     )
-    # This function *is* the placement layout the structure-aware solver path
-    # recognizes; attaching the matrices directly spares the per-round scan.
+    # The solve path collapses the form through the matrices it was built
+    # from, so they travel with it.
     return attach_structure(
         form,
         PlacementStructure(

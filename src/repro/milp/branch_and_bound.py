@@ -7,9 +7,7 @@ revised simplex (:class:`repro.milp.revised_simplex.BoundedLP`): the sparse
 constraint system is prepared **once** for the whole tree and every node
 re-solves it with its own bounds, **warm-started from its parent's optimal
 basis** — after a single branching bound change the parent basis is one or
-two feasibility-restoration pivots away from the child optimum.  A legacy
-dense backend can still be injected through ``lp_backend`` (the test suite
-uses it to cross-check against the tableau reference implementation).
+two feasibility-restoration pivots away from the child optimum.
 
 Node selection is best-bound-first via a heap keyed on ``(bound, order)``
 where ``order`` is the global push counter: among nodes with equal bounds the
@@ -30,17 +28,14 @@ import dataclasses
 import heapq
 import itertools
 import time
-from collections.abc import Callable
 
 import numpy as np
 
 from repro.milp.problem import StandardForm
 from repro.milp.revised_simplex import Basis, BoundedLP
-from repro.milp.status import LPSolution, SolveStatus
+from repro.milp.status import SolveStatus
 
 __all__ = ["BranchAndBoundResult", "solve_milp_arrays"]
-
-LPBackend = Callable[..., LPSolution]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,11 +75,9 @@ def _round_integrality(x: np.ndarray, integrality: np.ndarray, tol: float) -> np
 
 def solve_milp_arrays(
     form: StandardForm,
-    lp_backend: LPBackend | None = None,
     integrality_tol: float = 1e-6,
     gap_tol: float = 1e-9,
     node_limit: int = 10_000,
-    time_limit: float | None = None,
     session=None,
     prepared_lp: BoundedLP | None = None,
     root_basis: Basis | None = None,
@@ -95,10 +88,6 @@ def solve_milp_arrays(
     ----------
     form:
         Problem arrays in minimization form.
-    lp_backend:
-        Optional legacy relaxation engine with the signature of
-        :func:`repro.milp.simplex.solve_lp_arrays`.  When omitted the
-        prepared revised simplex with per-node warm starts is used.
     integrality_tol:
         Maximum distance from an integer for a value to count as integral.
     gap_tol:
@@ -106,8 +95,6 @@ def solve_milp_arrays(
     node_limit:
         Maximum number of explored nodes before giving up with
         :attr:`SolveStatus.NODE_LIMIT` (the incumbent, if any, is returned).
-    time_limit:
-        Optional wall-clock limit in seconds.
     session:
         Optional :class:`~repro.milp.session.SolverSession`; records per-node
         warm/cold iteration counts and seeds the root from a previous tree of
@@ -125,14 +112,12 @@ def solve_milp_arrays(
     integrality = form.integrality
     n = form.num_variables
 
-    lp: BoundedLP | None = None
-    if lp_backend is None:
-        lp = prepared_lp if prepared_lp is not None else BoundedLP(
-            form.c, form.sparse().a_ub, form.b_ub, form.sparse().a_eq, form.b_eq,
-            form.lower, form.upper,
-        )
+    lp = prepared_lp if prepared_lp is not None else BoundedLP(
+        form.c, form.sparse().a_ub, form.b_ub, form.sparse().a_eq, form.b_eq,
+        form.lower, form.upper,
+    )
     session_key = None
-    if lp is not None and session is not None:
+    if session is not None:
         session_key = ("bb", lp.n, lp.m_ub, lp.m_eq)
         if root_basis is None:
             root_basis = session.basis_for(session_key)
@@ -155,29 +140,16 @@ def solve_milp_arrays(
         if nodes >= node_limit:
             limit_hit = SolveStatus.NODE_LIMIT
             break
-        if time_limit is not None and (time.perf_counter() - start) > time_limit:
-            limit_hit = SolveStatus.ITERATION_LIMIT
-            break
         node = heapq.heappop(heap)
         if node.bound >= incumbent_obj - gap_tol:
             continue  # cannot improve on the incumbent
         nodes += 1
 
-        if lp is not None:
-            remaining = None
-            if time_limit is not None:
-                remaining = max(0.0, time_limit - (time.perf_counter() - start))
-            relax, child_basis = lp.solve(
-                lower=node.lower, upper=node.upper, basis=node.basis,
-                time_limit=remaining,
-            )
-            if session is not None:
-                session.record_lp(relax.iterations, relax.warm_used)
-        else:
-            relax = lp_backend(
-                form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq, node.lower, node.upper
-            )
-            child_basis = None
+        relax, child_basis = lp.solve(
+            lower=node.lower, upper=node.upper, basis=node.basis,
+        )
+        if session is not None:
+            session.record_lp(relax.iterations, relax.warm_used)
         iterations += relax.iterations
         if relax.status is SolveStatus.INFEASIBLE:
             continue
@@ -193,18 +165,18 @@ def solve_milp_arrays(
             limit_hit = relax.status
             break
 
-        bound = relax.objective + form.c0
+        bound = relax.objective
         best_bound = max(best_bound, min(bound, incumbent_obj))
         if bound >= incumbent_obj - gap_tol:
             continue
 
         candidate = _round_integrality(relax.x, integrality, integrality_tol)
         if candidate is not None:
-            objective = float(form.c @ candidate + form.c0)
+            objective = float(form.c @ candidate)
             if objective < incumbent_obj - gap_tol:
                 incumbent_obj = objective
                 incumbent_x = candidate
-                if session is not None and session_key is not None:
+                if session is not None:
                     session.store_basis(session_key, child_basis)
             continue
 
@@ -245,6 +217,4 @@ def solve_milp_arrays(
     else:
         gap = abs(incumbent_obj - best_bound) if np.isfinite(best_bound) else np.inf
     status = SolveStatus.OPTIMAL if limit_hit is None else limit_hit
-    # incumbent_obj already includes the constant term c0; report in original sense.
-    objective = -incumbent_obj if form.maximize else incumbent_obj
-    return BranchAndBoundResult(status, incumbent_x, objective, nodes, iterations, gap, elapsed)
+    return BranchAndBoundResult(status, incumbent_x, incumbent_obj, nodes, iterations, gap, elapsed)

@@ -1,7 +1,7 @@
 """The array form every MILP/LP backend consumes.
 
 A :class:`StandardForm` is the dense minimization form
-``min c @ x + c0  s.t.  a_ub @ x <= b_ub,  a_eq @ x = b_eq,  lower <= x <= upper``
+``min c @ x  s.t.  a_ub @ x <= b_ub,  a_eq @ x = b_eq,  lower <= x <= upper``
 with an integrality mask.  WaterWise builds its placement MILP directly in
 this form (:func:`repro.core.objective.build_placement_form`).
 """
@@ -19,14 +19,11 @@ __all__ = ["StandardForm"]
 class StandardForm:
     """Dense array representation of a problem.
 
-    ``c`` / ``c0`` encode the (minimization) objective ``c @ x + c0``; a
-    maximization problem is stored with its objective negated and
-    ``maximize=True``, so solvers only ever minimize.  ``integrality`` is a
-    boolean mask over the variables.
+    ``c`` is the objective ``c @ x``, always minimized.  ``integrality`` is
+    a boolean mask over the variables.
     """
 
     c: np.ndarray
-    c0: float
     a_ub: np.ndarray
     b_ub: np.ndarray
     a_eq: np.ndarray
@@ -34,7 +31,6 @@ class StandardForm:
     lower: np.ndarray
     upper: np.ndarray
     integrality: np.ndarray
-    maximize: bool
 
     @property
     def num_variables(self) -> int:
@@ -44,8 +40,7 @@ class StandardForm:
         """CSR view of the constraint blocks, converted once and cached.
 
         The form is frozen, so the cached conversion can never diverge from
-        the dense arrays; presolve, the revised simplex and branch & bound all
-        share the same CSR data through this accessor.
+        the dense arrays; branch & bound prepares its revised simplex from it.
         """
         cached = self.__dict__.get("_sparse")
         if cached is None:
@@ -60,6 +55,5 @@ class StandardForm:
         return self.a_ub.shape[0] + self.a_eq.shape[0]
 
     def objective_value(self, x: np.ndarray) -> float:
-        """Objective in the problem's *original* sense for solution vector ``x``."""
-        value = float(self.c @ x + self.c0)
-        return -value if self.maximize else value
+        """Objective ``c @ x`` of solution vector ``x``."""
+        return float(self.c @ x)

@@ -1,7 +1,7 @@
 """Bounded-variable revised simplex with warm-start bases.
 
 This is the production LP engine of the native solver core.  Unlike the dense
-tableau in :mod:`repro.milp.simplex` — kept as the slow reference
+tableau in ``tests/milp/simplex.py`` — kept as the slow reference
 implementation — it
 
 * handles variable bounds *natively*: a nonbasic variable simply sits at its
@@ -14,8 +14,7 @@ implementation — it
   drift bounded; columns are gathered from raw CSC arrays and pricing is one
   sparse ``A.T @ y`` product per iteration.  The CSC store is a plain trio of
   NumPy arrays, so the whole native core runs without SciPy installed (the
-  ``auto`` dispatch falls back here when SciPy is missing — the fallback must
-  not itself require SciPy);
+  placement path solves every relaxation here when SciPy is missing);
 * accepts a **warm-start basis**.  Feasibility restoration is uniform: any
   basis (the all-slack cold basis, the previous round's optimal basis, a
   branch & bound parent basis after a bound change) is loaded, basic values
@@ -232,7 +231,6 @@ class BoundedLP:
         upper: np.ndarray | None = None,
         basis: Basis | None = None,
         max_iter: int = 20_000,
-        time_limit: float | None = None,
     ) -> tuple[LPSolution, Basis | None]:
         """Solve with optional structural-bound overrides and warm basis.
 
@@ -293,9 +291,6 @@ class BoundedLP:
         enterable = ~((hi - lo) <= _FEAS_TOL)
 
         while iterations < max_iter:
-            if time_limit is not None and (time.perf_counter() - start) > time_limit:
-                return _fail(SolveStatus.ITERATION_LIMIT, iterations)
-
             xb = x[basic_idx]
             lob = lo[basic_idx]
             hib = hi[basic_idx]
@@ -482,7 +477,6 @@ def solve_lp_revised(
     upper: np.ndarray,
     max_iter: int = 20_000,
     basis: Basis | None = None,
-    time_limit: float | None = None,
 ) -> tuple[LPSolution, Basis | None]:
     """One-shot wrapper over :class:`BoundedLP` with the classic array signature."""
     c = np.asarray(c, dtype=float)
@@ -491,4 +485,4 @@ def solve_lp_revised(
     a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n) if np.size(a_eq) else np.zeros((0, n))
     lp = BoundedLP(c, a_ub, np.asarray(b_ub, dtype=float).ravel(), a_eq,
                    np.asarray(b_eq, dtype=float).ravel(), lower, upper)
-    return lp.solve(basis=basis, max_iter=max_iter, time_limit=time_limit)
+    return lp.solve(basis=basis, max_iter=max_iter)

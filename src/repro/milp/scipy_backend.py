@@ -82,15 +82,10 @@ def _as_scipy_csr(block) -> sparse.csr_matrix:
     )
 
 
-def solve_form_scipy(
-    form: StandardForm,
-    time_limit: float | None = None,
-    mip_rel_gap: float = 0.0,
-) -> tuple[SolveStatus, np.ndarray, float, int, float]:
+def solve_form_scipy(form: StandardForm) -> tuple[SolveStatus, np.ndarray, float, int, float]:
     """Solve a :class:`StandardForm` with SciPy/HiGHS.
 
-    Returns ``(status, x, objective_in_original_sense, node_or_iter_count,
-    solve_time)``.
+    Returns ``(status, x, objective, node_or_iter_count, solve_time)``.
     """
     start = time.perf_counter()
     n = form.num_variables
@@ -113,15 +108,13 @@ def solve_form_scipy(
         constraints.append(
             optimize.LinearConstraint(_as_scipy_csr(form.a_eq), form.b_eq, form.b_eq)
         )
-    options: dict[str, object] = {"mip_rel_gap": mip_rel_gap}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
     result = optimize.milp(
         c=form.c,
         constraints=constraints,
         integrality=form.integrality.astype(int),
         bounds=optimize.Bounds(form.lower, form.upper),
-        options=options,
+        # HiGHS stops at a 1e-4 relative gap by default; answers must be exact.
+        options={"mip_rel_gap": 0.0},
     )
     status = _MILP_STATUS.get(result.status, SolveStatus.ERROR)
     if result.x is None:

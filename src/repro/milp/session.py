@@ -5,14 +5,13 @@ part of a solve — finding a feasible basis — can be amortized: a
 :class:`SolverSession` stores the optimal basis of each (shape-keyed) problem
 family and hands it to the next solve as a warm start.  The
 :class:`~repro.core.decision.DecisionController` owns one session and passes
-it through :func:`repro.milp.solver.solve_standard_form` on every round,
+it through :func:`repro.milp.structure.solve_standard_form` on every round,
 whether the scalar engine (``decide``) or the batch fast path
 (``decide_arrays``) asked, so the two engines share the same reuse machinery.
 
 The session also aggregates solver counters, exposed as
-``result.solver_stats``: presolve reduction ratios, warm-start hit rates and
-iteration counts, and how often the structured placement path short-circuited
-branch & bound.
+``result.solver_stats``: warm-start hit rates and iteration counts, and how
+often the structured placement path short-circuited branch & bound.
 """
 
 from __future__ import annotations
@@ -41,25 +40,8 @@ class SolverStats:
     cold_starts: int = 0
     warm_iterations: int = 0
     cold_iterations: int = 0
-    presolve_rows_before: int = 0
-    presolve_rows_after: int = 0
-    presolve_cols_before: int = 0
-    presolve_cols_after: int = 0
     bb_nodes: int = 0
     solve_time_s: float = 0.0
-
-    @property
-    def presolve_row_ratio(self) -> float:
-        """Surviving-row fraction across all presolved solves (lower = better)."""
-        if not self.presolve_rows_before:
-            return 1.0
-        return self.presolve_rows_after / self.presolve_rows_before
-
-    @property
-    def presolve_col_ratio(self) -> float:
-        if not self.presolve_cols_before:
-            return 1.0
-        return self.presolve_cols_after / self.presolve_cols_before
 
     @property
     def mean_warm_iterations(self) -> float:
@@ -78,8 +60,6 @@ class SolverStats:
 
     def as_dict(self) -> dict:
         out = dataclasses.asdict(self)
-        out["presolve_row_ratio"] = self.presolve_row_ratio
-        out["presolve_col_ratio"] = self.presolve_col_ratio
         out["mean_warm_iterations"] = self.mean_warm_iterations
         out["mean_cold_iterations"] = self.mean_cold_iterations
         out["iterations_saved_per_warm_start"] = self.iterations_saved_per_warm_start

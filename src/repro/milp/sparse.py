@@ -10,9 +10,8 @@ seed's property of running without SciPy installed; the SciPy backend
 converts it with :func:`scipy.sparse.csr_matrix((data, indices, indptr))`
 when it needs to.
 
-:meth:`StandardForm.sparse` caches the conversion on the (frozen) form, which
-lets every consumer — presolve, the revised simplex, branch & bound node
-re-solves — share one conversion per form.
+:meth:`StandardForm.sparse` caches the conversion on the (frozen) form, so
+branch & bound converts a form once for its whole tree.
 """
 
 from __future__ import annotations

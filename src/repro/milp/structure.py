@@ -1,12 +1,11 @@
-"""Structure-aware solve path for WaterWise placement forms.
+"""The placement solve path: every WaterWise round is solved here.
 
 :func:`repro.core.objective.build_placement_form` emits MILPs with a rigid
 shape — assignment equalities, capacity rows, delay rows, optionally
-per-placement penalty columns.  :func:`detect_placement` recognizes that shape
-(from the structure ``build_placement_form`` attaches, or by scanning the raw
-arrays of any other form) and recovers the scheduling matrices;
-:func:`solve_placement` then exploits two structural facts the generic
-solvers cannot see:
+per-placement penalty columns — and attaches the scheduling matrices it built
+them from (:func:`attach_structure`).  :func:`solve_standard_form` hands such
+a form to :func:`solve_placement`, which exploits two structural facts a
+generic solver cannot see:
 
 * **Delay rows couple to the assignment rows.**  Exactly one placement binary
   per job is 1, so a hard delay row forbids precisely the placements whose
@@ -47,7 +46,7 @@ from repro.milp.session import SolverSession
 from repro.milp.sparse import CsrMatrix
 from repro.milp.status import LPSolution, SolveStatus
 
-__all__ = ["PlacementStructure", "detect_placement", "solve_placement"]
+__all__ = ["PlacementStructure", "solve_placement", "solve_standard_form"]
 
 _FEAS_TOL = 1e-9
 _INT_TOL = 1e-6
@@ -65,7 +64,7 @@ _LARGE_LP_VARIABLES = 48
 
 @dataclasses.dataclass(frozen=True)
 class PlacementStructure:
-    """The scheduling matrices recovered from a placement ``StandardForm``."""
+    """The scheduling matrices a placement ``StandardForm`` was built from."""
 
     m_jobs: int
     n_regions: int
@@ -79,107 +78,34 @@ class PlacementStructure:
 
 
 def attach_structure(form: StandardForm, struct: PlacementStructure) -> StandardForm:
-    """Cache a known structure on a form (used by ``build_placement_form``,
-    which assembles the arrays *from* these matrices and therefore knows the
-    structure by construction — re-deriving it would be pure overhead in the
-    per-round hot path)."""
+    """Attach the matrices a form was built from (used by
+    ``build_placement_form``, which assembles the arrays *from* these
+    matrices); :func:`solve_standard_form` solves only forms that carry
+    them."""
     object.__setattr__(form, "_placement_structure", struct)
     return form
 
 
-def detect_placement(form: StandardForm) -> PlacementStructure | None:
-    """Recognize the placement-MILP layout; ``None`` for anything else.
+def solve_standard_form(
+    form: StandardForm, session: SolverSession | None = None
+) -> tuple[SolveStatus, np.ndarray, float, int, int, float]:
+    """Solve a placement form built by ``build_placement_form`` exactly.
 
-    The checks mirror :func:`repro.core.objective.build_placement_form` field
-    for field, so a form that passes is *bit-identical* to one built there and
-    the recovered matrices are exact.  Forms that were built by
-    ``build_placement_form`` carry the structure directly (see
-    :func:`attach_structure`) and skip the scan.
+    Returns :func:`solve_placement`'s ``(status, x, objective, iterations,
+    nodes, solve_time)``.  ``session`` threads warm-start bases and
+    statistics across calls; the WaterWise decision controller passes its
+    own so consecutive scheduling rounds reuse each other's bases.  Any other
+    form raises ``ValueError``: the general-purpose engines
+    (:func:`~repro.milp.branch_and_bound.solve_milp_arrays`,
+    :func:`~repro.milp.scipy_backend.solve_form_scipy`) take those directly.
     """
-    cached = form.__dict__.get("_placement_structure")
-    if cached is not None:
-        return cached
-    if form.maximize or form.c0 != 0.0:
-        return None
-    if not isinstance(form.a_ub, np.ndarray) or not isinstance(form.a_eq, np.ndarray):
-        return None  # the scan reads dense blocks (collapsed forms are CSR)
-    m_jobs = form.a_eq.shape[0]
-    if m_jobs == 0:
-        return None
-    n_regions = form.a_ub.shape[0] - m_jobs
-    if n_regions <= 0:
-        return None
-    n_x = m_jobs * n_regions
-    n_vars = form.num_variables
-    if n_vars == n_x:
-        soft = False
-    elif n_vars == 2 * n_x:
-        soft = True
-    else:
-        return None
-
-    integrality = form.integrality
-    if not integrality[:n_x].all() or integrality[n_x:].any():
-        return None
-    if (form.lower != 0.0).any():
-        return None
-    if (form.upper[:n_x] != 1.0).any() or not np.isinf(form.upper[n_x:]).all():
-        return None
-    if (form.b_eq != 1.0).any():
-        return None
-
-    # Assignment block: row m selects columns [m·N, (m+1)·N) with coefficient 1.
-    eq_x = form.a_eq[:, :n_x].reshape(m_jobs, m_jobs, n_regions)
-    diag = np.einsum("mmn->mn", eq_x)
-    if (diag != 1.0).any() or np.count_nonzero(form.a_eq) != n_x:
-        return None
-
-    # Capacity block: column (m, n) has coefficient servers_m in capacity row n.
-    cap_x = form.a_ub[:n_regions, :n_x].reshape(n_regions, m_jobs, n_regions)
-    servers_mn = np.einsum("nmn->mn", cap_x)
-    servers = servers_mn[:, 0]
-    if (servers_mn != servers[:, None]).any() or (servers < 0.0).any():
-        return None
-    remainder = cap_x.copy()
-    remainder[np.arange(n_regions), :, np.arange(n_regions)] = 0.0
-    if remainder.any() or form.a_ub[:n_regions, n_x:].any():
-        return None
-
-    # Delay block: row N+m touches columns (m, ·) only, with ratios ≥ 0.
-    delay_x = form.a_ub[n_regions:, :n_x].reshape(m_jobs, m_jobs, n_regions)
-    latency = np.einsum("mmn->mn", delay_x).copy()
-    if (latency < 0.0).any():
-        return None
-    remainder = delay_x.copy()
-    remainder[np.arange(m_jobs), np.arange(m_jobs), :] = 0.0
-    if remainder.any():
-        return None
-
-    penalty_weight = 0.0
-    if soft:
-        pen = form.a_ub[n_regions:, n_x:].reshape(m_jobs, m_jobs, n_regions)
-        pen_diag = np.einsum("mmn->mn", pen)
-        if (pen_diag != -1.0).any():
-            return None
-        remainder = pen.copy()
-        remainder[np.arange(m_jobs), np.arange(m_jobs), :] = 0.0
-        if remainder.any():
-            return None
-        penalty_weight = float(form.c[n_x])
-        if penalty_weight < 0.0 or (form.c[n_x:] != penalty_weight).any():
-            return None
-
-    return PlacementStructure(
-        m_jobs=m_jobs,
-        n_regions=n_regions,
-        soft=soft,
-        penalty_weight=penalty_weight,
-        cost=form.c[:n_x].reshape(m_jobs, n_regions).copy(),
-        latency_ratio=latency,
-        tolerance=form.b_ub[n_regions:].copy(),
-        servers=servers.copy(),
-        capacity=form.b_ub[:n_regions].copy(),
-    )
+    struct = form.__dict__.get("_placement_structure")
+    if struct is None:
+        raise ValueError(
+            "solve_standard_form solves placement forms built by "
+            "build_placement_form; this form carries no placement structure"
+        )
+    return solve_placement(form, struct, session=session)
 
 
 def _assemble_solution(
@@ -203,10 +129,8 @@ def solve_placement(
     form: StandardForm,
     struct: PlacementStructure,
     session: SolverSession | None = None,
-    node_limit: int = 10_000,
-    time_limit: float | None = None,
 ) -> tuple[SolveStatus, np.ndarray, float, int, int, float]:
-    """Solve a recognized placement form exactly.
+    """Solve a placement form exactly from the matrices it was built from.
 
     Returns ``(status, x, objective, iterations, nodes, solve_time)`` with
     ``x`` in the original variable space (placement binaries and, in soft
@@ -251,7 +175,7 @@ def solve_placement(
     lp: BoundedLP | None = None
     basis = None
     if use_scipy:
-        sol = _scipy_relaxation(reduced, time_limit=time_limit)
+        sol = _scipy_relaxation(reduced)
     else:
         lp = BoundedLP(
             reduced.c, reduced.a_ub, reduced.b_ub, reduced.a_eq, reduced.b_eq,
@@ -259,7 +183,7 @@ def solve_placement(
         )
         key = ("placement", m, n)
         warm_basis = session.basis_for(key) if session is not None else None
-        sol, basis = lp.solve(basis=warm_basis, time_limit=time_limit)
+        sol, basis = lp.solve(basis=warm_basis)
         if session is not None:
             session.record_lp(sol.iterations, sol.warm_used)
             session.store_basis(key, basis)
@@ -285,24 +209,17 @@ def solve_placement(
 
     # -- fractional relaxation (or LP trouble): branch & bound on the
     #    collapsed form — warm-started native B&B for ordinary sizes, HiGHS
-    #    for saturated rounds.  The relaxation already spent part of the
-    #    round's wall-clock budget, so only the remainder is handed on.
-    remaining = None
-    if time_limit is not None:
-        remaining = max(0.0, time_limit - (time.perf_counter() - start))
+    #    for saturated rounds.
     if use_scipy:
         from repro.milp.scipy_backend import solve_form_scipy
 
-        status, x_red, _objective, bb_nodes, _seconds = solve_form_scipy(
-            reduced, time_limit=remaining
-        )
+        status, x_red, _objective, bb_nodes, _seconds = solve_form_scipy(reduced)
         bb_iterations = bb_nodes
     else:
         from repro.milp.branch_and_bound import solve_milp_arrays
 
         bb = solve_milp_arrays(
-            reduced, node_limit=node_limit, time_limit=remaining, session=session,
-            prepared_lp=lp, root_basis=basis,
+            reduced, session=session, prepared_lp=lp, root_basis=basis,
         )
         status, x_red, bb_nodes, bb_iterations = bb.status, bb.x, bb.nodes, bb.iterations
     if stats is not None:
@@ -328,13 +245,12 @@ def _scipy_available() -> bool:
     return True
 
 
-def _scipy_relaxation(reduced: StandardForm, time_limit: float | None = None):
+def _scipy_relaxation(reduced: StandardForm):
     """HiGHS on the collapsed LP relaxation (sparse constraint blocks)."""
     from scipy import optimize
 
     from repro.milp.scipy_backend import _LINPROG_STATUS, _as_scipy_csr
 
-    options = {"time_limit": float(time_limit)} if time_limit is not None else None
     result = optimize.linprog(
         reduced.c,
         A_ub=_as_scipy_csr(reduced.a_ub),
@@ -343,7 +259,6 @@ def _scipy_relaxation(reduced: StandardForm, time_limit: float | None = None):
         b_eq=reduced.b_eq,
         bounds=np.stack([reduced.lower, reduced.upper], axis=1),
         method="highs",
-        options=options,
     )
     status = _LINPROG_STATUS.get(result.status, SolveStatus.ERROR)
     n = reduced.num_variables
@@ -376,7 +291,6 @@ def _reduced_form(
 
     return StandardForm(
         c=c,
-        c0=0.0,
         a_ub=a_ub,
         b_ub=struct.capacity.astype(float),
         a_eq=a_eq,
@@ -384,5 +298,4 @@ def _reduced_form(
         lower=np.zeros(n_x),
         upper=allowed.astype(float).ravel(),
         integrality=np.ones(n_x, dtype=bool),
-        maximize=False,
     )

@@ -14,7 +14,9 @@ Two arrival modes cover the two ways time can flow:
 * ``"recorded"`` (default) — jobs keep the arrival times they carry, and the
   engine's safety watermark advances on arrivals only.  This is the replay
   mode: it is decision-identical to a batch run *by construction*, which is
-  what the differential harness verifies (digest equality).
+  what the differential harness verifies (digest equality).  A batch that
+  arrives before the watermark the requests queued ahead of it set is
+  refused at submission, so it fails only its own request.
 * ``"clock"`` — the gateway stamps each batch with the clock's current time
   when the batch is *admitted* (never before the watermark, which queued
   work ahead of the batch may have raised).  This is the live mode: between
@@ -146,6 +148,11 @@ class AdmissionGateway:
         self._queue: asyncio.Queue[_Request] | None = None
         self._task: asyncio.Task | None = None
         self._waiters: dict[int, tuple[asyncio.Future, float]] = {}
+        #: The watermark the engine will have once every queued batch and
+        #: ``tick(now)`` is processed (recorded mode's lateness check), and
+        #: the lock that keeps those requests queued in the order checked.
+        self._queued_watermark = float("-inf")
+        self._enqueue_lock = asyncio.Lock()
         self._closed = False
         self._failure: BaseException | None = None
         # Counters.
@@ -220,7 +227,10 @@ class AdmissionGateway:
         recorded mode where the chunk handed to the engine is arrival-sorted
         internally — callers may zip the futures against their input list.
         Suspends while the request queue is full (backpressure).  ``jobs``
-        is a :class:`JobChunk` or a sequence of ``Job`` objects.
+        is a :class:`JobChunk` or a sequence of ``Job`` objects.  In
+        recorded mode a batch whose first arrival is before the watermark
+        the engine will have when it reaches the batch raises
+        ``ValueError``.
         """
         self._ensure_open()
         if isinstance(jobs, JobChunk):
@@ -230,28 +240,44 @@ class AdmissionGateway:
             jobs = list(jobs)
             batch_ids = [int(job.job_id) for job in jobs]
             chunk = self._chunk_from_jobs(jobs)
-        # Validate the whole batch before registering any waiter: raising
-        # halfway through would strand the already-registered futures as
-        # permanently "outstanding" ids that can never be resubmitted.
-        batch_seen: set[int] = set()
-        for job_id in batch_ids:
-            if job_id in self._waiters or job_id in batch_seen:
-                raise ValueError(
-                    f"job id {job_id} is already outstanding; live job ids "
-                    "must be unique until their decision resolves"
+        recorded = self.arrival_mode == "recorded" and chunk.n > 0
+        async with self._enqueue_lock:
+            # Validate the whole batch before registering any waiter: raising
+            # halfway through would strand the already-registered futures as
+            # permanently "outstanding" ids that can never be resubmitted.
+            if recorded:
+                # The engine would reject a late batch inside the loop, and
+                # that error poisons the gateway for every client.
+                watermark = max(self._watermark(), self._queued_watermark)
+                first = float(chunk.arrival[0])
+                if first < watermark - 1e-12:
+                    raise ValueError(
+                        f"batch arrives late: first arrival {first:.3f}s is "
+                        f"before the watermark {watermark:.3f}s"
+                    )
+            batch_seen: set[int] = set()
+            for job_id in batch_ids:
+                if job_id in self._waiters or job_id in batch_seen:
+                    raise ValueError(
+                        f"job id {job_id} is already outstanding; live job ids "
+                        "must be unique until their decision resolves"
+                    )
+                batch_seen.add(job_id)
+            loop = asyncio.get_running_loop()
+            submitted_at = time.monotonic()
+            if self._first_submit is None:
+                self._first_submit = submitted_at
+            futures: list[asyncio.Future] = []
+            for job_id in batch_ids:
+                future = loop.create_future()
+                self._waiters[job_id] = (future, submitted_at)
+                futures.append(future)
+            self._submitted += chunk.n
+            if recorded:
+                self._queued_watermark = max(
+                    self._queued_watermark, float(chunk.arrival[-1])
                 )
-            batch_seen.add(job_id)
-        loop = asyncio.get_running_loop()
-        submitted_at = time.monotonic()
-        if self._first_submit is None:
-            self._first_submit = submitted_at
-        futures: list[asyncio.Future] = []
-        for job_id in batch_ids:
-            future = loop.create_future()
-            self._waiters[job_id] = (future, submitted_at)
-            futures.append(future)
-        self._submitted += chunk.n
-        await self._queue.put(_Request("batch", chunk, None))
+            await self._queue.put(_Request("batch", chunk, None))
         return futures
 
     async def tick(self, now: float | None = None) -> int:
@@ -265,7 +291,10 @@ class AdmissionGateway:
         """
         self._ensure_open()
         future = asyncio.get_running_loop().create_future()
-        await self._queue.put(_Request("tick", now, future))
+        async with self._enqueue_lock:
+            if now is not None:
+                self._queued_watermark = max(self._queued_watermark, float(now))
+            await self._queue.put(_Request("tick", now, future))
         return await future
 
     async def checkpoint(self, path, extra: dict | None = None) -> None:

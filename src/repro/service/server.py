@@ -84,7 +84,11 @@ class AdmissionServer:
             servers_required=payload.get("servers_required", 1),
         )
 
-    async def _dispatch(self, request: dict) -> dict:
+    async def _dispatch(self, request) -> dict:
+        if not isinstance(request, dict):
+            raise TypeError(
+                f"a request must be a JSON object, got {type(request).__name__}"
+            )
         op = request.get("op")
         if op == "submit":
             jobs = [self._job_from_dict(job) for job in request["jobs"]]

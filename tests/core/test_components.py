@@ -34,10 +34,6 @@ class TestConfig:
             WaterWiseConfig(history_window=0)
         with pytest.raises(ValueError):
             WaterWiseConfig(penalty_weight=-1.0)
-        with pytest.raises(ValueError):
-            WaterWiseConfig(solver="gurobi")
-        with pytest.raises(ValueError):
-            WaterWiseConfig(solver_time_limit_s=0.0)
 
     def test_frozen(self):
         config = WaterWiseConfig()

@@ -168,7 +168,7 @@ class TestPlacementProblem:
         )]
         config = WaterWiseConfig()
         form = build_placement_form(*_round_matrices(jobs, context, config), config)
-        status, _x, objective, *_ = solve_standard_form(form, solver="native")
+        status, _x, objective, *_ = solve_standard_form(form)
         result = DecisionController(config).decide(jobs, context)
         assert status.is_success and not result.used_soft_constraints
         assert result.objective_value == pytest.approx(objective, rel=1e-9)

@@ -94,6 +94,18 @@ def _policy_factory(name):
     return lambda: make_scheduler(name)
 
 
+def _gate_relaxations(relaxations, monkeypatch):
+    """Send the placement path's relaxations above its size gate to HiGHS
+    (``"highs"``, needs SciPy) or to the native engines (``"native"``, as on
+    an install without SciPy)."""
+    from repro.milp import structure
+
+    if relaxations == "highs":
+        pytest.importorskip("scipy")
+    else:
+        monkeypatch.setattr(structure, "_scipy_available", lambda: False)
+
+
 class TestRegistryWideEquivalence:
     @pytest.mark.parametrize("scenario", available_scenarios())
     @pytest.mark.parametrize("policy", available_schedulers())
@@ -119,22 +131,38 @@ class TestRegistryWideEquivalence:
         )
         assert_equivalent(scalar, batch)
 
-    @pytest.mark.parametrize("solver", ["auto", "native", "structured", "scipy"])
-    def test_waterwise_equivalence_per_solver_backend(self, solver, dataset, scenario_traces):
-        # The solve pipeline dispatches through four backends; the batch
-        # engine must reproduce the scalar engine under every one of them,
-        # including a saturated cluster where capacity-bound rounds take the
-        # transportation-LP path instead of the trivial argmin.
-        from repro.core.config import WaterWiseConfig
+    @pytest.mark.parametrize("relaxations", ["highs", "native"])
+    @pytest.mark.parametrize("servers", [24, 2], ids=["slack", "saturated"])
+    def test_waterwise_equivalence_with_and_without_saturation(
+        self, servers, relaxations, dataset, scenario_traces, monkeypatch
+    ):
+        # The batch engine must reproduce the scalar engine both when rounds
+        # take the trivial argmin and on a saturated cluster, where
+        # capacity-bound rounds take the transportation-LP path — with
+        # relaxations above the size gate on HiGHS (SciPy imports) and on the
+        # native simplex (as on an install without SciPy).  The gate reads
+        # only the problem dimensions, so both engines take the same paths.
+        _gate_relaxations(relaxations, monkeypatch)
+        schedulers = []
 
-        factory = lambda: make_scheduler(  # noqa: E731
-            "waterwise", config=WaterWiseConfig(solver=solver)
+        def factory():
+            schedulers.append(make_scheduler("waterwise"))
+            return schedulers[-1]
+
+        scalar, batch = run_both(
+            scenario_traces["bursty"], factory, dataset, servers_per_region=servers,
         )
-        for servers in (24, 2):
-            scalar, batch = run_both(
-                scenario_traces["bursty"], factory, dataset, servers_per_region=servers
-            )
-            assert_equivalent(scalar, batch)
+        assert_equivalent(scalar, batch)
+        paths = [
+            (stats.solves, stats.structured_lp, stats.structured_bb,
+             stats.cold_starts + stats.warm_starts)
+            for stats in (s.controller.session.stats for s in schedulers)
+        ]
+        assert paths[0] == paths[1]
+        _solves, relaxed, _branched, native_lps = paths[0]
+        assert relaxed > 0
+        if relaxations == "native":
+            assert native_lps >= relaxed
 
     def test_streaming_decision_equivalence_registry_wide(self, policy_sources, dataset):
         # Acceptance gate of the streaming tentpole: for every registered
@@ -354,6 +382,57 @@ class TestRegistryWideEquivalence:
                 return None
 
         assert not has_fast_path(TweakedCost())
+
+
+class TestRoundOracle:
+    """Every round the production path solves, checked against the paper's
+    full MILP (Eq. 8–13) solved whole by HiGHS."""
+
+    @pytest.mark.parametrize("relaxations", ["highs", "native"])
+    def test_every_waterwise_round_reaches_the_full_milp_optimum(
+        self, relaxations, dataset, monkeypatch
+    ):
+        # Each round's placement form, solved whole by the HiGHS MILP, must
+        # give the solve path's status and objective.  This run is saturated:
+        # 77 of its 99 rounds are softened and 37 solve their relaxation on
+        # HiGHS, the others by argmin or the native simplex.  With the size
+        # gate's large relaxations on the native simplex instead (as without
+        # SciPy), every relaxation runs there.
+        pytest.importorskip("scipy")
+        _gate_relaxations(relaxations, monkeypatch)
+        import repro.core.decision as decision
+        from repro.milp import SolveStatus
+        from repro.milp.scipy_backend import solve_form_scipy
+
+        solved = []
+        solve = decision.solve_standard_form
+
+        def recording(form, *args, **kwargs):
+            result = solve(form, *args, **kwargs)
+            solved.append((form, result))
+            return result
+
+        monkeypatch.setattr(decision, "solve_standard_form", recording)
+        scheduler = make_scheduler("waterwise")
+        trace = get_scenario("bursty").trace(seed=3, duration_days=0.25)
+        BatchSimulator(
+            trace, scheduler, dataset=dataset, servers_per_region=4, delay_tolerance=0.5
+        ).run()
+        stats = scheduler.controller.session.stats
+        assert scheduler.controller.rounds_softened > 0
+        assert stats.structured_lp > 0
+        # Only the native engine records its simplex solves in the session.
+        native_lps = stats.cold_starts + stats.warm_starts
+        if relaxations == "native":
+            assert native_lps >= stats.structured_lp
+        else:
+            assert native_lps < stats.structured_lp
+        assert len(solved) > 50
+        for form, (status, _x, objective, *_rest) in solved:
+            reference, _x_ref, optimum, *_ = solve_form_scipy(form)
+            assert status is reference
+            if status is SolveStatus.OPTIMAL:
+                assert objective == pytest.approx(optimum, rel=1e-9)
 
 
 # -- chaos & elasticity differential cells ------------------------------------------

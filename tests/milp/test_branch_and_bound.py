@@ -13,9 +13,11 @@ from .forms import standard_form
 
 
 def _knapsack_form(values, weights, capacity):
+    # Maximizing the packed value is minimizing its negation, so the solvers
+    # report the best value negated.
     return standard_form(
-        values, a_ub=[weights], b_ub=[capacity], upper=1.0, integrality=True,
-        maximize=True,
+        -np.asarray(values, dtype=float), a_ub=[weights], b_ub=[capacity], upper=1.0,
+        integrality=True,
     )
 
 
@@ -36,7 +38,7 @@ class TestKnapsack:
         capacity = 10
         result = solve_milp_arrays(_knapsack_form(values, weights, capacity))
         assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(
+        assert -result.objective == pytest.approx(
             _brute_force_knapsack(values, weights, capacity)
         )
 
@@ -53,7 +55,7 @@ class TestKnapsack:
         capacity = int(max(1, rng.integers(1, max(2, sum(weights)))))
         result = solve_milp_arrays(_knapsack_form(values, weights, capacity))
         assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(
+        assert -result.objective == pytest.approx(
             _brute_force_knapsack(values, weights, capacity)
         )
 
@@ -77,14 +79,14 @@ class TestGeneralMILP:
         # Classic example where rounding the LP relaxation is wrong:
         # max x + y s.t. -2x + 2y >= 1, -8x + 10y <= 13, x, y integer >= 0.
         form = standard_form(
-            [1.0, 1.0], a_ub=[[2.0, -2.0], [-8.0, 10.0]], b_ub=[-1.0, 13.0],
-            integrality=True, maximize=True,
+            [-1.0, -1.0], a_ub=[[2.0, -2.0], [-8.0, 10.0]], b_ub=[-1.0, 13.0],
+            integrality=True,
         )
         result = solve_milp_arrays(form, node_limit=5000)
         assert result.status is SolveStatus.OPTIMAL
         x, y = result.x
         assert y - x >= 0.5  # first constraint holds
-        assert result.objective == pytest.approx(3.0)  # known optimum x=1, y=2
+        assert -result.objective == pytest.approx(3.0)  # known optimum x=1, y=2
 
     def test_equality_constrained_assignment(self):
         # 3 jobs x 3 machines assignment with distinct costs has a unique optimum.
@@ -111,7 +113,7 @@ class TestGeneralMILP:
 
     def test_unbounded_milp(self):
         # max x over the non-negative integers.
-        form = standard_form([1.0], integrality=True, maximize=True)
+        form = standard_form([-1.0], integrality=True)
         result = solve_milp_arrays(form)
         assert result.status is SolveStatus.UNBOUNDED
 

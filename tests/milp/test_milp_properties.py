@@ -1,9 +1,9 @@
 """Property-based tests for the MILP layer as a whole.
 
 Random placement MILPs (WaterWise's own builder with every delay row slack,
-leaving the assignment + capacity structure) are solved with both the
-native core and the SciPy/HiGHS backend; the two exact solvers must agree
-and their solutions must satisfy every constraint.
+leaving the assignment + capacity structure) are solved through
+:func:`solve_standard_form` and as full forms by the SciPy/HiGHS MILP; the
+two must agree and the solutions must satisfy every constraint.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.core.config import WaterWiseConfig
 from repro.core.objective import build_placement_form
 from repro.milp import SolveStatus, solve_standard_form
+from repro.milp.scipy_backend import solve_form_scipy
 
 
 def _placement_form(costs: np.ndarray, capacities: np.ndarray):
@@ -46,20 +47,20 @@ def placement_instance(draw):
 class TestPlacementMILPs:
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(instance=placement_instance())
-    def test_backends_agree_and_solutions_feasible(self, instance):
+    def test_path_agrees_with_highs_and_solutions_feasible(self, instance):
         costs, capacities = instance
         form = _placement_form(costs, capacities)
-        native_status, x, native_objective, *_ = solve_standard_form(form, solver="native")
-        scipy_status, _x, scipy_objective, *_ = solve_standard_form(form, solver="scipy")
-        assert native_status is SolveStatus.OPTIMAL
+        status, x, objective, *_ = solve_standard_form(form)
+        scipy_status, _x, scipy_objective, *_ = solve_form_scipy(form)
+        assert status is SolveStatus.OPTIMAL
         assert scipy_status is SolveStatus.OPTIMAL
-        assert native_objective == pytest.approx(scipy_objective, rel=1e-6, abs=1e-6)
+        assert objective == pytest.approx(scipy_objective, rel=1e-6, abs=1e-6)
 
-        # Verify the native solution.
+        # Verify the path's solution.
         assignment = x.reshape(costs.shape)
         np.testing.assert_allclose(assignment.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(assignment.sum(axis=0) <= capacities + 1e-6)
-        assert native_objective == pytest.approx(float((assignment * costs).sum()), abs=1e-6)
+        assert objective == pytest.approx(float((assignment * costs).sum()), abs=1e-6)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -73,8 +74,8 @@ class TestPlacementMILPs:
         capacities = np.zeros(n_regions, dtype=int)
         capacities[0] = m_jobs - 1  # one job too many
         form = _placement_form(costs, capacities)
-        for solver in ("native", "scipy"):
-            assert solve_standard_form(form, solver=solver)[0] is SolveStatus.INFEASIBLE
+        assert solve_standard_form(form)[0] is SolveStatus.INFEASIBLE
+        assert solve_form_scipy(form)[0] is SolveStatus.INFEASIBLE
 
     @settings(max_examples=15, deadline=None)
     @given(instance=placement_instance())

@@ -1,16 +1,26 @@
-"""The native solver core must work in a SciPy-free environment.
+"""The placement solve path must work in a SciPy-free environment.
 
-``auto`` documents a fallback to the native core when SciPy is missing — that
-fallback is only real if importing :mod:`repro.milp` and solving through the
-native/structured paths never touches SciPy.  This test runs a fresh
-interpreter with a meta-path hook that blocks every ``scipy`` import and
-exercises an LP, a MILP and a placement form end to end.
+Without SciPy the size gate in :mod:`repro.milp.structure` sends every
+relaxation — also those above its 48-variable threshold — to the native
+revised simplex and branch & bound.  This test runs a fresh interpreter with
+a meta-path hook that blocks every ``scipy`` import, solves a saturated
+placement form (hard and soft) whose collapsed problem has more than 48
+variables and a fractional relaxation there, and checks the optimum against
+the full-form HiGHS MILP and against the same path with SciPy (HiGHS on the
+collapsed problem) in this process.
 """
 
 import os
 import pathlib
 import subprocess
 import sys
+
+import numpy as np
+import pytest
+
+from repro.core.config import WaterWiseConfig
+from repro.core.objective import build_placement_form
+from repro.milp import SolveStatus, solve_standard_form
 
 _SCRIPT = r"""
 import sys
@@ -23,53 +33,51 @@ class _BlockScipy:
 
 sys.meta_path.insert(0, _BlockScipy())
 
-import numpy as np
+from repro.milp import SolverSession, solve_standard_form
+from tests.milp.test_no_scipy import saturated_form
 
-from repro.core.config import WaterWiseConfig
-from repro.core.objective import build_placement_form
-from repro.milp.solver import solve_standard_form
-from repro.milp.status import SolveStatus
-from tests.milp.forms import standard_form
-
-# LP through the auto dispatch (scipy missing -> native fallback):
-# min -2x - 3y  s.t.  x + y <= 5,  0 <= x <= 4,  y >= 0.
-lp = standard_form([-2.0, -3.0], a_ub=[[1.0, 1.0]], b_ub=[5.0], upper=[4.0, np.inf])
-status, _x, objective, _i, _nodes, solver, _t = solve_standard_form(lp, solver="auto")
-assert status is SolveStatus.OPTIMAL, status
-assert solver == "native", solver
-assert abs(objective - (-3 * 5)) < 1e-9, objective  # x=0, y=5
-
-# MILP through the native branch & bound.
-milp = standard_form(
-    [-1.7, -1.1], a_ub=[[1.9, 0.9]], b_ub=[4.0], upper=3.0, integrality=True,
-)
-status, *_ = solve_standard_form(milp, solver="auto")
-assert status is SolveStatus.OPTIMAL, status
-
-# A placement form through the structured path (saturated -> LP relaxation,
-# which must use the native simplex when scipy is unavailable).
-rng = np.random.default_rng(0)
-m, n = 9, 3
-form = build_placement_form(
-    rng.uniform(0, 2, (m, n)), rng.uniform(0, 0.4, (m, n)), np.full(m, 0.5),
-    np.ones(m), np.full(n, 4.0), WaterWiseConfig(),
-)
-status, xvec, objective, _i, _nodes, solver, _t = solve_standard_form(form, solver="auto")
-assert status is SolveStatus.OPTIMAL, status
-assert solver == "structured", solver
-assert np.isfinite(objective)
-print("OK")
+session = SolverSession()
+form = saturated_form(soft=sys.argv[1] == "soft")
+status, _x, objective, *_ = solve_standard_form(form, session=session)
+stats = session.stats
+# The relaxation and the branch & bound ran on the native engines (HiGHS
+# calls record no LP).
+assert stats.structured_lp == stats.structured_bb == 1, stats
+assert stats.cold_starts >= 1 and stats.bb_nodes > 1, stats
+print(status.name, repr(objective))
 """
 
 
-def test_native_core_runs_without_scipy():
+def saturated_form(soft):
+    """20 jobs × 3 regions (60 collapsed variables): every job is cheapest in
+    region 0, which has 12 of the at least 20 servers they need.  A job's home
+    region (job index mod 3) has no latency, so the hard form is feasible."""
+    rng = np.random.default_rng(0)
+    m, n = 20, 3
+    latency = rng.uniform(0, 0.8, (m, n))
+    latency[np.arange(m), np.arange(m) % n] = 0.0
+    return build_placement_form(
+        rng.uniform(0, 1, (m, n)) + np.arange(n), latency, np.full(m, 0.5),
+        rng.integers(1, 3, m), np.full(n, 12.0), WaterWiseConfig(), soft=soft,
+    )
+
+
+@pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+def test_placement_path_runs_without_scipy(soft):
+    from repro.milp.scipy_backend import solve_form_scipy
+
     root = pathlib.Path(__file__).resolve().parents[2]
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT],
+        [sys.executable, "-c", _SCRIPT, "soft" if soft else "hard"],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)]),
              "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, f"stdout={proc.stdout}\nstderr={proc.stderr}"
-    assert proc.stdout.strip().endswith("OK")
+    status, objective = proc.stdout.split()
+    reference, _x, optimum, *_ = solve_form_scipy(saturated_form(soft))
+    with_scipy, _x, collapsed_optimum, *_ = solve_standard_form(saturated_form(soft))
+    assert status == reference.name == with_scipy.name == SolveStatus.OPTIMAL.name
+    assert float(objective) == pytest.approx(optimum, rel=1e-9)
+    assert collapsed_optimum == pytest.approx(optimum, rel=1e-9)

@@ -6,11 +6,12 @@ assignment iff every region's server demand fits its capacity and every
 job's latency ratio is within its tolerance, and costs the sum of its
 placement costs.  The soft form (Eq. 12–13) keeps only the capacity rows and
 adds ``σ · max(0, ratio − tol)`` per job.  The form
-:func:`~repro.core.objective.build_placement_form` builds, solved through each
-backend, must reach the enumerated minimum — or every backend must report
-the instance infeasible.  The decision controller's hard → soft → greedy
-ladder (Algorithm 1) must pick the enumerated optimum of the first form that
-has one.
+:func:`~repro.core.objective.build_placement_form` builds, solved through
+:func:`solve_standard_form` and as a full form by the HiGHS MILP and by the
+native branch & bound, must reach the enumerated minimum — or all three must
+report the instance infeasible.  The
+decision controller's hard → soft → greedy ladder (Algorithm 1) must pick the
+enumerated optimum of the first form that has one.
 """
 
 import itertools
@@ -22,10 +23,24 @@ from repro.core.config import WaterWiseConfig
 from repro.core.decision import DecisionController
 from repro.core.objective import build_placement_form
 from repro.milp import SolveStatus, solve_standard_form
+from repro.milp.branch_and_bound import solve_milp_arrays
 
 _SHAPES = [(m, n) for m in range(1, 5) for n in range(1, 4)]
 _SEEDS = range(8)
-_SOLVERS = ["auto", "native", "scipy"]
+
+
+def _highs(form):
+    from repro.milp.scipy_backend import solve_form_scipy
+
+    return solve_form_scipy(form)
+
+
+def _native(form):
+    result = solve_milp_arrays(form)
+    return result.status, result.x, result.objective
+
+
+_SOLVERS = {"path": solve_standard_form, "highs": _highs, "native": _native}
 
 
 def _instance(m, n, seed):
@@ -111,9 +126,9 @@ def test_instances_cover_both_verdicts_and_penalized_optima():
 
 @pytest.mark.parametrize("shape", _SHAPES, ids=[f"{m}x{n}" for m, n in _SHAPES])
 @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
-@pytest.mark.parametrize("solver", _SOLVERS)
+@pytest.mark.parametrize("solver", list(_SOLVERS))
 def test_solvers_reach_the_enumerated_minimum(solver, soft, shape):
-    if solver == "scipy":
+    if solver == "highs":
         pytest.importorskip("scipy")
     config = WaterWiseConfig()
     m, n = shape
@@ -121,11 +136,7 @@ def test_solvers_reach_the_enumerated_minimum(solver, soft, shape):
         instance, _home = _instance(m, n, seed)
         best = _enumerated_minimum(instance, soft, config.penalty_weight)
         form = build_placement_form(*instance, config, soft=soft)
-        status, x, objective, _iterations, _nodes, used, _seconds = solve_standard_form(
-            form, solver=solver
-        )
-        if solver == "auto":
-            assert used == "structured", seed
+        status, x, objective, *_ = _SOLVERS[solver](form)
         if best is None:
             assert status is SolveStatus.INFEASIBLE, seed
             continue
@@ -138,14 +149,11 @@ def test_solvers_reach_the_enumerated_minimum(solver, soft, shape):
 
 
 @pytest.mark.parametrize("mode", ["ladder", "forced-soft", "hard-only"])
-@pytest.mark.parametrize("solver", _SOLVERS)
-def test_controller_ladder_picks_the_enumerated_optimum(solver, mode):
+def test_controller_ladder_picks_the_enumerated_optimum(mode):
     # One controller decides every instance in turn, so its solver session
     # carries warm-start bases across rounds of different shapes, as it does
     # in a simulation.
-    if solver == "scipy":
-        pytest.importorskip("scipy")
-    config = WaterWiseConfig(solver=solver, use_soft_constraints=mode != "hard-only")
+    config = WaterWiseConfig(use_soft_constraints=mode != "hard-only")
     controller = DecisionController(config)
     sigma = config.penalty_weight
     paths = dict(hard=0, soft=0, fallback=0)

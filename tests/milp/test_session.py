@@ -1,8 +1,5 @@
-"""Tests for :class:`~repro.milp.session.SolverSession`, the dispatch rewire
-(`time_limit` on the native path, narrowed SciPy fallback) and branch & bound
+"""Tests for :class:`~repro.milp.session.SolverSession` and branch & bound
 determinism."""
-
-import sys
 
 import numpy as np
 import pytest
@@ -10,18 +7,13 @@ import pytest
 from repro.core.config import WaterWiseConfig
 from repro.core.decision import DecisionController
 from repro.core.objective import build_placement_form
-from repro.milp import SolverSession
+from repro.milp import SolverSession, structure
 from repro.milp.branch_and_bound import solve_milp_arrays
 from repro.milp.revised_simplex import Basis
-from repro.milp.solver import solve_standard_form
 from repro.milp.status import SolveStatus
+from repro.milp.structure import solve_standard_form
 
 from .forms import standard_form
-
-
-def _lp_form():
-    # min -2x - 3y  s.t.  x + y <= 5,  0 <= x <= 4,  y >= 0.
-    return standard_form([-2.0, -3.0], a_ub=[[1.0, 1.0]], b_ub=[5.0], upper=[4.0, np.inf])
 
 
 def _milp_form():
@@ -61,19 +53,56 @@ class TestSolverSession:
         assert stats.mean_warm_iterations == pytest.approx(3.0)
         assert stats.iterations_saved_per_warm_start == pytest.approx(7.0)
         payload = stats.as_dict()
-        for key in ("presolve_row_ratio", "iterations_saved_per_warm_start",
+        for key in ("mean_warm_iterations", "iterations_saved_per_warm_start",
                     "wall_time_per_solve_s", "solves"):
             assert key in payload
 
-    def test_native_lp_reuses_bases_across_calls(self):
+    def test_placement_relaxation_reuses_bases_across_calls(self):
+        # Every job prefers region 0, which has room for two of the six, so
+        # each solve needs the (native, 18-variable) LP relaxation.
+        cost = np.tile([1.0, 2.0, 3.0], (6, 1)) + np.arange(6)[:, None] * 0.1
+        form = build_placement_form(
+            cost, np.zeros((6, 3)), np.ones(6), np.ones(6), np.array([2.0, 4.0, 4.0]),
+            WaterWiseConfig(),
+        )
         session = SolverSession()
-        form = _lp_form()
-        first = solve_standard_form(form, solver="native", session=session)
-        second = solve_standard_form(form, solver="native", session=session)
+        first = solve_standard_form(form, session=session)
+        second = solve_standard_form(form, session=session)
         assert first[0] is second[0] is SolveStatus.OPTIMAL
+        assert session.stats.structured_lp == 2
         assert session.stats.cold_starts == 1
         assert session.stats.warm_starts == 1
         assert session.stats.warm_iterations == 0  # optimal basis re-verified
+
+    @pytest.mark.parametrize("relaxations", ["highs", "native"])
+    def test_only_native_relaxations_keep_a_warm_basis(self, relaxations, monkeypatch):
+        # 17 jobs × 3 regions is 51 collapsed variables, above the size gate:
+        # with SciPy the relaxation goes to HiGHS, which keeps no basis in
+        # the session; on the native side (as without SciPy) the second solve
+        # re-verifies the first one's optimal basis.
+        pytest.importorskip("scipy")
+        if relaxations == "native":
+            monkeypatch.setattr(structure, "_scipy_available", lambda: False)
+        rng = np.random.default_rng(1)
+        m = 17
+        cost = rng.uniform(0.0, 1.0, (m, 3)) + np.array([0.0, 1.0, 2.0])
+        form = build_placement_form(
+            cost, np.zeros((m, 3)), np.ones(m), np.ones(m), np.array([5.0, 6.0, 6.0]),
+            WaterWiseConfig(),
+        )
+        session = SolverSession()
+        first = solve_standard_form(form, session=session)
+        second = solve_standard_form(form, session=session)
+        assert first[0] is second[0] is SolveStatus.OPTIMAL
+        assert np.array_equal(first[1], second[1])
+        assert session.stats.structured_lp == 2
+        stats = session.stats
+        if relaxations == "native":
+            assert session.basis_for(("placement", m, 3)) is not None
+            assert (stats.cold_starts, stats.warm_starts, stats.warm_iterations) == (1, 1, 0)
+        else:
+            assert session.basis_for(("placement", m, 3)) is None
+            assert stats.cold_starts == stats.warm_starts == 0
 
     def test_controller_threads_one_session_through_both_paths(self):
         controller = DecisionController(WaterWiseConfig())
@@ -93,59 +122,6 @@ class TestSolverSession:
         assert controller.session.stats.solves == 1
         controller.reset()
         assert controller.session.stats.solves == 0
-
-
-class TestDispatchContracts:
-    def test_time_limit_reaches_the_native_pure_lp_path(self):
-        # A zero budget must surface as a limit status, not be dropped.
-        status, *_ = solve_standard_form(_lp_form(), solver="native", time_limit=0.0)
-        assert status is SolveStatus.ITERATION_LIMIT
-
-    def test_structured_name_degrades_to_native_core(self):
-        status, _x, objective, _i, _n, solver, _t = solve_standard_form(
-            _lp_form(), solver="structured"
-        )
-        assert status is SolveStatus.OPTIMAL
-        assert solver == "native"
-
-    def test_structured_solver_accepts_placement_forms(self):
-        form = build_placement_form(
-            np.array([[1.0, 2.0]]), np.array([[0.0, 0.0]]), np.array([1.0]),
-            np.array([1.0]), np.array([4.0, 4.0]), WaterWiseConfig(),
-        )
-        status, _x, _obj, _i, _n, solver, _t = solve_standard_form(
-            form, solver="structured"
-        )
-        assert status is SolveStatus.OPTIMAL
-        assert solver == "structured"
-
-    def test_modeling_errors_are_not_swallowed_by_auto(self, monkeypatch):
-        import repro.milp.scipy_backend as backend
-
-        def _explode(form, time_limit=None):
-            raise ValueError("broken model")
-
-        monkeypatch.setattr(backend, "solve_form_scipy", _explode)
-        with pytest.raises(ValueError, match="broken model"):
-            solve_standard_form(_lp_form(), solver="auto")
-
-    def test_missing_scipy_falls_back_to_native_once_logged(self, monkeypatch, caplog):
-        import repro.milp.solver as solver_mod
-
-        monkeypatch.setitem(sys.modules, "repro.milp.scipy_backend", None)
-        monkeypatch.setattr(solver_mod, "_fallback_logged", False)
-        with caplog.at_level("WARNING", logger="repro.milp.solver"):
-            first = solve_standard_form(_lp_form(), solver="auto")
-            second = solve_standard_form(_lp_form(), solver="auto")
-        assert first[5] == second[5] == "native"
-        assert first[0] is SolveStatus.OPTIMAL
-        fallback_logs = [r for r in caplog.records if "falls back" in r.getMessage()]
-        assert len(fallback_logs) == 1  # logged once, not once per round
-
-    def test_missing_scipy_raises_for_explicit_scipy(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "repro.milp.scipy_backend", None)
-        with pytest.raises(ImportError):
-            solve_standard_form(_lp_form(), solver="scipy")
 
 
 class TestBranchAndBoundDeterminism:
@@ -185,10 +161,9 @@ class TestBranchAndBoundDeterminism:
         result = solve_milp_arrays(form, node_limit=1)
         assert result.status in (SolveStatus.NODE_LIMIT, SolveStatus.OPTIMAL)
 
-    def test_node_limit_surrenders_incumbent_through_dispatch(self):
+    def test_node_limit_surrenders_incumbent(self):
         # When branch & bound stops at the node limit with an incumbent in
-        # hand, the native dispatch must return it (with the limit status),
-        # not a NaN vector.
+        # hand, it returns it (with the limit status), not a NaN vector.
         rng = np.random.default_rng(17)
         surrendered = 0
         for _ in range(30):
@@ -203,13 +178,8 @@ class TestBranchAndBoundDeterminism:
                 bb = solve_milp_arrays(form, node_limit=node_limit)
                 if bb.status is SolveStatus.NODE_LIMIT and np.all(np.isfinite(bb.x)):
                     surrendered += 1
-                    status, x, objective, *_ = solve_standard_form(
-                        form, solver="native", node_limit=node_limit
-                    )
-                    assert status is SolveStatus.NODE_LIMIT
-                    assert np.all(np.isfinite(x))
-                    assert np.isfinite(objective)
-                    assert float(weights @ x) <= weights.sum() / 2 + 1e-6
+                    assert np.isfinite(bb.objective)
+                    assert float(weights @ bb.x) <= weights.sum() / 2 + 1e-6
                     break
             if surrendered >= 3:
                 break

@@ -1,4 +1,5 @@
-"""Tests for the native two-phase simplex LP solver."""
+"""Tests for the dense two-phase simplex LP solver (:mod:`tests.milp.simplex`),
+the tableau reference the other LP tests compare against."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.milp.scipy_backend import scipy_lp_backend
-from repro.milp.simplex import solve_lp_arrays
 from repro.milp.status import SolveStatus
+
+from .simplex import solve_lp_arrays
 
 
 def _solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, lower=None, upper=None):

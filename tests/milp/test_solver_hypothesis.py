@@ -1,7 +1,7 @@
 """Hypothesis cross-check of the sparse/warm-started native solver core.
 
-Random LPs and MILPs are solved three ways — the presolve + revised-simplex
-native core, the dense tableau reference (:func:`solve_lp_arrays`), and
+Random LPs and MILPs are solved three ways — native branch & bound over the
+revised simplex, the dense tableau reference (:func:`solve_lp_arrays`), and
 SciPy/HiGHS — and must agree on status and optimum.  Dedicated properties
 cover the degenerate, infeasible, unbounded and warm-start-after-perturbation
 cases the WaterWise rounds actually produce.
@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.milp.presolve import presolve
+from repro.milp.branch_and_bound import solve_milp_arrays
 from repro.milp.problem import StandardForm
 from repro.milp.revised_simplex import solve_lp_revised
 from repro.milp.scipy_backend import scipy_lp_backend, solve_form_scipy
-from repro.milp.simplex import solve_lp_arrays
-from repro.milp.solver import solve_standard_form
 from repro.milp.status import SolveStatus
 
 from .forms import standard_form
+from .simplex import solve_lp_arrays
 
 _SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -70,12 +69,12 @@ def _assert_backends_agree(form: StandardForm):
         # compare against then.  (The native core is separately validated by
         # brute force on small all-integer instances below.)
         return
-    native = solve_standard_form(form, solver="native")
-    assert native[0] == reference[0], (native[0], reference[0])
+    native = solve_milp_arrays(form)
+    assert native.status == reference[0], (native.status, reference[0])
     if reference[0] is SolveStatus.OPTIMAL:
-        assert native[2] == pytest.approx(reference[1], abs=1e-6)
-        x = native[1]
-        # The native point must satisfy the original, unreduced problem.
+        assert native.objective == pytest.approx(reference[1], abs=1e-6)
+        x = native.x
+        # The native point must satisfy the problem.
         assert np.all(x >= form.lower - 1e-6) and np.all(x <= form.upper + 1e-6)
         if form.a_ub.shape[0]:
             assert np.all(form.a_ub @ x <= form.b_ub + 1e-6)
@@ -87,6 +86,14 @@ def _assert_backends_agree(form: StandardForm):
 class TestRandomProblems:
     @settings(**_SETTINGS)
     @given(form=lp_instances())
+    # The equality rows shrink both boxes around the one feasible region near
+    # x ≈ (-0.4194, 0.9280); optimum 0.63056.
+    @example(form=standard_form(
+        [-1.57, -0.03],
+        a_ub=[[-0.88, -0.6]], b_ub=[0.12],
+        a_eq=[[0.9, 0.73], [0.13, 2.02]], b_eq=[0.3, 1.82],
+        lower=[-1.45, -1.38], upper=[0.13, 1.67],
+    ))
     def test_random_lps_agree_across_backends(self, form):
         _assert_backends_agree(form)
         # ... and the revised simplex standalone agrees with the dense tableau.
@@ -112,35 +119,6 @@ class TestRandomProblems:
     def test_random_milps_agree_across_backends(self, form):
         _assert_backends_agree(form)
 
-    @settings(**_SETTINGS)
-    @given(form=lp_instances())
-    # Feasible at x ≈ (-0.4194, 0.9280), optimum 0.63056: the equality rows
-    # shrink both boxes around that point until fixing x2 at a bound 8e-10
-    # off (amplified 15x by the second row) made presolve report infeasible.
-    @example(form=standard_form(
-        [-1.57, -0.03],
-        a_ub=[[-0.88, -0.6]], b_ub=[0.12],
-        a_eq=[[0.9, 0.73], [0.13, 2.02]], b_eq=[0.3, 1.82],
-        lower=[-1.45, -1.38], upper=[0.13, 1.67],
-    ))
-    def test_presolve_preserves_the_optimum(self, form):
-        pre = presolve(form)
-        reference = solve_form_scipy(form)
-        if pre.infeasible:
-            assert reference[0] is SolveStatus.INFEASIBLE
-            return
-        if reference[0] is not SolveStatus.OPTIMAL:
-            return
-        if pre.num_variables == 0:
-            x = pre.postsolve(np.zeros(0))
-        else:
-            sol, _ = solve_lp_revised(
-                pre.c, pre.a_ub, pre.b_ub, pre.a_eq, pre.b_eq, pre.lower, pre.upper
-            )
-            assert sol.status is SolveStatus.OPTIMAL
-            x = pre.postsolve(sol.x)
-        assert form.objective_value(x) == pytest.approx(reference[2], abs=1e-6)
-
 
 class TestBruteForceGroundTruth:
     @settings(**_SETTINGS)
@@ -159,7 +137,7 @@ class TestBruteForceGroundTruth:
         b_eq = rng.normal(size=m_eq).round(2)
         upper = rng.integers(1, 4, n).astype(float)
         form = standard_form(c, a_eq=a_eq, b_eq=b_eq, upper=upper, integrality=True)
-        native = solve_standard_form(form, solver="native")
+        native = solve_milp_arrays(form)
         best = None
         for point in itertools.product(*[range(int(u) + 1) for u in upper]):
             x = np.asarray(point, dtype=float)
@@ -167,10 +145,10 @@ class TestBruteForceGroundTruth:
                 value = float(c @ x)
                 best = value if best is None else min(best, value)
         if best is None:
-            assert native[0] is SolveStatus.INFEASIBLE
+            assert native.status is SolveStatus.INFEASIBLE
         else:
-            assert native[0] is SolveStatus.OPTIMAL
-            assert native[2] == pytest.approx(best, abs=1e-6)
+            assert native.status is SolveStatus.OPTIMAL
+            assert native.objective == pytest.approx(best, abs=1e-6)
 
 
 class TestDegenerateShapes:

@@ -3,9 +3,9 @@
 Random small LPs and MILPs are generated from hypothesis-drawn seeds and the
 solvers are checked against invariants that must hold for *any* exact solver:
 
-* ``simplex.solve_lp_arrays`` — returned points are feasible, agree with the
-  SciPy/HiGHS backend on status and objective, and are optimal among the
-  box corners of bounded problems;
+* ``solve_lp_arrays`` (the dense tableau reference) — returned points are
+  feasible, agree with the SciPy/HiGHS backend on status and objective, and
+  are optimal among the box corners of bounded problems;
 * ``branch_and_bound.solve_milp_arrays`` — returned points are integral and
   feasible, never beat the LP relaxation, and match brute-force enumeration
   on small bounded integer boxes.
@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from repro.milp import SolveStatus
 from repro.milp.branch_and_bound import solve_milp_arrays
 from repro.milp.scipy_backend import scipy_lp_backend
-from repro.milp.simplex import solve_lp_arrays
 
 from .forms import standard_form
+from .simplex import solve_lp_arrays
 
 TOL = 1e-6
 
@@ -148,7 +148,7 @@ class TestBranchAndBoundInvariants:
         )
         assert milp.status is SolveStatus.OPTIMAL
         assert relaxation.status is SolveStatus.OPTIMAL
-        assert milp.objective >= relaxation.objective + form.c0 - 1e-6
+        assert milp.objective >= relaxation.objective - 1e-6
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=100_000))

@@ -1,18 +1,16 @@
-"""Tests for the structure-aware placement path (:mod:`repro.milp.structure`)."""
-
-import dataclasses
+"""Tests for the placement solve path (:mod:`repro.milp.structure`)."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import WaterWiseConfig
 from repro.core.objective import build_placement_form
+from repro.milp import structure
+from repro.milp.branch_and_bound import solve_milp_arrays
+from repro.milp.scipy_backend import solve_form_scipy
 from repro.milp.session import SolverSession
-from repro.milp.solver import solve_standard_form
 from repro.milp.status import SolveStatus
-from repro.milp.structure import detect_placement, solve_placement
-
-from .forms import standard_form
+from repro.milp.structure import PlacementStructure, solve_standard_form
 
 
 def _random_instance(rng, m_jobs=None, n_regions=None, tight=False):
@@ -29,62 +27,118 @@ def _random_instance(rng, m_jobs=None, n_regions=None, tight=False):
     return cost, latency, tolerance, servers, capacity
 
 
+def _saturated_instance(m, n, seed):
+    """Every job is cheapest in region 0, which cannot hold them all, so the
+    per-job argmin overflows and the relaxation must run.  Each job's home
+    region is within its tolerance; the last seed has less capacity than
+    demand, which makes both forms infeasible."""
+    rng = np.random.default_rng([m, n, seed])
+    cost = rng.uniform(0, 1, (m, n)) + 0.5 * np.arange(n)
+    latency = rng.uniform(0, 1, (m, n))
+    latency[np.arange(m), rng.integers(0, n, m)] = 0.0
+    tolerance = rng.uniform(0.2, 0.8, m)
+    servers = rng.integers(1, 4, m)
+    if seed == _GATE_SEEDS[-1]:
+        capacity = np.full(n, np.floor(0.9 * servers.sum() / n))
+    else:
+        capacity = np.full(n, np.ceil(1.1 * servers.sum() / n))
+    return cost, latency, tolerance, servers, capacity
+
+
+_GATE_SEEDS = range(6)
+#: Shapes whose collapsed problem (jobs × regions) is above the 48-variable gate.
+_GATE_SHAPES = [(17, 3), (25, 2), (13, 4), (10, 5), (8, 7)]
+
+
+@pytest.fixture(params=["highs", "native"])
+def relaxation_engine(request, monkeypatch):
+    """Which side of the size gate large relaxations take: HiGHS (SciPy
+    imports) or the native revised simplex and branch & bound (as on an
+    install without SciPy)."""
+    pytest.importorskip("scipy")  # the full-form reference
+    if request.param == "native":
+        monkeypatch.setattr(structure, "_scipy_available", lambda: False)
+    return request.param
+
+
 class TestDetection:
-    def test_built_forms_carry_the_structure(self):
-        rng = np.random.default_rng(0)
-        for soft in (False, True):
-            cost, lat, tol, servers, cap = _random_instance(rng)
-            form = build_placement_form(cost, lat, tol, servers, cap,
-                                        WaterWiseConfig(), soft=soft)
-            struct = detect_placement(form)
-            assert struct is not None
-            assert struct.soft is soft
-            assert np.array_equal(struct.cost, cost)
-            assert np.array_equal(struct.latency_ratio, lat)
-            assert np.array_equal(struct.servers, servers)
-
-    def test_scan_recovers_identical_matrices_without_the_hint(self):
-        # A form rebuilt from the same arrays carries no attached structure;
-        # the scanner must recover exactly what the builder attached.
-        rng = np.random.default_rng(1)
-        cost, lat, tol, servers, cap = _random_instance(rng, m_jobs=4, n_regions=3)
-        form = build_placement_form(cost, lat, tol, servers, cap, WaterWiseConfig())
-        hinted = detect_placement(form)
-        scanned = detect_placement(dataclasses.replace(form))
-        assert scanned is not None
-        for field in ("cost", "latency_ratio", "tolerance", "servers", "capacity"):
-            assert np.array_equal(getattr(scanned, field), getattr(hinted, field))
-        assert scanned.soft == hinted.soft
-        assert scanned.penalty_weight == hinted.penalty_weight
-
-    def test_non_placement_forms_are_rejected(self):
-        knapsack = standard_form(
-            [4.0, 3.0, 5.0], a_ub=[[2.0, 3.0, 4.0]], b_ub=[5.0], upper=1.0,
-            integrality=True, maximize=True,
-        )
-        assert detect_placement(knapsack) is None
-
-    def test_perturbed_placement_form_is_rejected(self):
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_built_forms_carry_the_structure(self, soft):
         rng = np.random.default_rng(2)
-        cost, lat, tol, servers, cap = _random_instance(rng, m_jobs=3, n_regions=2)
-        form = build_placement_form(cost, lat, tol, servers, cap, WaterWiseConfig())
-        broken_a_eq = form.a_eq.copy()
-        broken_a_eq[0, -1] = 1.0  # job 0 "assigned" through job 2's column
-        assert detect_placement(dataclasses.replace(form, a_eq=broken_a_eq)) is None
-
-    def test_lp_relaxation_form_is_rejected(self):
-        rng = np.random.default_rng(3)
-        cost, lat, tol, servers, cap = _random_instance(rng, m_jobs=3, n_regions=2)
-        form = build_placement_form(cost, lat, tol, servers, cap, WaterWiseConfig())
-        relaxed = dataclasses.replace(
-            form, integrality=np.zeros_like(form.integrality)
+        cost, latency, tolerance, servers, capacity = _random_instance(
+            rng, m_jobs=4, n_regions=3
         )
-        assert detect_placement(relaxed) is None
+        config = WaterWiseConfig(penalty_weight=7.0)
+        form = build_placement_form(cost, latency, tolerance, servers, capacity,
+                                    config, soft=soft)
+        struct = form.__dict__["_placement_structure"]
+        assert isinstance(struct, PlacementStructure)
+        assert (struct.m_jobs, struct.n_regions, struct.soft) == (4, 3, soft)
+        assert struct.penalty_weight == (7.0 if soft else 0.0)
+        for name, value in dict(cost=cost, latency_ratio=latency, tolerance=tolerance,
+                                servers=servers, capacity=capacity).items():
+            assert np.array_equal(getattr(struct, name), value), name
+        # The arrays were assembled from these matrices: the capacity rows
+        # carry the server demand and the delay rows the latency ratios.
+        n_x = 12
+        assert np.array_equal(form.a_ub[:3, :n_x].sum(axis=0), np.repeat(servers, 3))
+        assert np.array_equal(form.a_ub[3:, :n_x].sum(axis=0), latency.ravel())
+        assert np.array_equal(form.b_ub, np.concatenate([capacity, tolerance]))
+
+
+class TestSizeGate:
+    @pytest.mark.parametrize("shape", _GATE_SHAPES, ids=[f"{m}x{n}" for m, n in _GATE_SHAPES])
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_saturated_rounds_reach_the_full_form_optimum(self, relaxation_engine, soft, shape):
+        # Whichever engine the gate picks, the collapsed problem's answer
+        # must be the full MILP's: same status, the HiGHS optimum within
+        # 1e-9 relative, and a placement that meets every row.
+        session = SolverSession()
+        optimal = 0
+        for seed in _GATE_SEEDS:
+            form = build_placement_form(*_saturated_instance(*shape, seed),
+                                        WaterWiseConfig(), soft=soft)
+            status, x, objective, *_ = solve_standard_form(form, session=session)
+            reference, _x, optimum, *_ = solve_form_scipy(form)
+            assert status is reference, seed
+            if status is not SolveStatus.OPTIMAL:
+                continue
+            optimal += 1
+            assert objective == pytest.approx(optimum, rel=1e-9), seed
+            assert objective == pytest.approx(form.c @ x, rel=1e-12), seed
+            assert np.all(form.a_ub @ x <= form.b_ub + 1e-9), seed
+            assert form.a_eq @ x == pytest.approx(form.b_eq), seed
+        stats = session.stats
+        assert optimal == len(_GATE_SEEDS) - 1
+        # Every instance needed the relaxation, and some of them branched.
+        assert stats.structured_trivial == 0
+        assert stats.structured_lp == len(_GATE_SEEDS)
+        assert stats.structured_bb > 0
+        # Only the native engine records its simplex solves in the session.
+        lp_solves = stats.cold_starts + stats.warm_starts
+        if relaxation_engine == "native":
+            assert lp_solves > stats.structured_lp
+        else:
+            assert lp_solves == 0
+
+    @pytest.mark.parametrize("m_jobs, engine", [(16, "native"), (17, "highs")],
+                             ids=["48-variables", "51-variables"])
+    def test_only_relaxations_above_48_variables_go_to_highs(self, m_jobs, engine):
+        pytest.importorskip("scipy")
+        session = SolverSession()
+        form = build_placement_form(*_saturated_instance(m_jobs, 3, 0), WaterWiseConfig())
+        status, *_ = solve_standard_form(form, session=session)
+        assert status is SolveStatus.OPTIMAL
+        assert session.stats.structured_lp == 1
+        lp_solves = session.stats.cold_starts + session.stats.warm_starts
+        assert (lp_solves > 0) == (engine == "native")
 
 
 class TestSolvePlacement:
     @pytest.mark.parametrize("soft", [False, True])
-    def test_matches_scipy_and_native_backends(self, soft):
+    def test_matches_full_form_highs_and_branch_and_bound(self, soft):
+        # The full (uncollapsed) form solved by HiGHS and by native branch &
+        # bound must reach the collapsed path's optimum.
         rng = np.random.default_rng(4)
         optimal = 0
         for trial in range(40):
@@ -92,18 +146,14 @@ class TestSolvePlacement:
             cost, lat, tol, servers, cap = _random_instance(rng, tight=tight)
             form = build_placement_form(cost, lat, tol, servers, cap,
                                         WaterWiseConfig(), soft=soft)
-            s_struct, x, obj, _i, _n, name, _t = solve_standard_form(form, solver="auto")
-            s_scipy, _x2, obj2, *_ = solve_standard_form(form, solver="scipy")
-            s_native, _x3, obj3, *_ = solve_standard_form(form, solver="native")
-            assert name == "structured"
-            assert s_struct == s_scipy == s_native
+            s_struct, x, obj, *_ = solve_standard_form(form)
+            s_scipy, _x2, obj2, *_ = solve_form_scipy(form)
+            bb = solve_milp_arrays(form)
+            assert s_struct == s_scipy == bb.status
             if s_struct is SolveStatus.OPTIMAL:
                 optimal += 1
-                # HiGHS reports soft-mode objectives up to penalty_weight ×
-                # its primal feasibility tolerance (10 × 1e-7) below the
-                # exact value; the structured/native answers are exact.
-                assert obj == pytest.approx(obj2, abs=1e-5)
-                assert obj == pytest.approx(obj3, abs=1e-7)
+                assert obj == pytest.approx(obj2, rel=1e-9)
+                assert obj == pytest.approx(bb.objective, abs=1e-7)
                 # Exactly one region per job, penalties cover the violations.
                 m, n = cost.shape
                 placements = x[: m * n].reshape(m, n)
@@ -118,9 +168,9 @@ class TestSolvePlacement:
             cost, latency, tolerance, np.array([1.0]), np.array([5.0, 5.0]),
             WaterWiseConfig(),
         )
-        status, *_ = solve_standard_form(form, solver="auto")
+        status, *_ = solve_standard_form(form)
         assert status is SolveStatus.INFEASIBLE
-        reference, *_ = solve_standard_form(form, solver="scipy")
+        reference, *_ = solve_form_scipy(form)
         assert reference is SolveStatus.INFEASIBLE
 
     def test_soft_mode_pays_penalty_instead(self):
@@ -132,7 +182,7 @@ class TestSolvePlacement:
             cost, latency, tolerance, np.array([1.0]), np.array([5.0, 5.0]),
             config, soft=True,
         )
-        status, x, obj, *_ = solve_standard_form(form, solver="auto")
+        status, x, obj, *_ = solve_standard_form(form)
         assert status is SolveStatus.OPTIMAL
         # Region 1 (cost 2, no violation) beats region 0 (cost 1 + 10·0.7).
         assert x[1] == pytest.approx(1.0)
@@ -146,8 +196,8 @@ class TestSolvePlacement:
             cost, latency, tolerance, np.array([2.0, 2.0, 2.0]), np.array([1.0, 1.0]),
             WaterWiseConfig(),
         )
-        status, *_ = solve_standard_form(form, solver="auto")
-        reference, *_ = solve_standard_form(form, solver="scipy")
+        status, *_ = solve_standard_form(form)
+        reference, *_ = solve_form_scipy(form)
         assert status is reference is SolveStatus.INFEASIBLE
 
     def test_session_counts_the_paths(self):
@@ -158,24 +208,8 @@ class TestSolvePlacement:
                 rng, m_jobs=8, n_regions=3, tight=tight
             )
             form = build_placement_form(cost, lat, tol, servers, cap, WaterWiseConfig())
-            struct = detect_placement(form)
-            solve_placement(form, struct, session=session)
+            solve_standard_form(form, session=session)
         stats = session.stats
         assert stats.solves == 3
         assert stats.structured_trivial >= 1
         assert stats.structured_trivial + stats.structured_lp == 3
-
-    def test_hinted_and_scanned_forms_solve_identically(self):
-        # A form carrying the attached structure and the same arrays without
-        # it (recognized by the scan) must take the same structured path to
-        # the same solution.
-        pytest.importorskip("scipy")
-        rng = np.random.default_rng(7)
-        cost, lat, tol, servers, cap = _random_instance(rng, m_jobs=5, n_regions=3)
-        form = build_placement_form(cost, lat, tol, servers, cap, WaterWiseConfig())
-        rebuilt = dataclasses.replace(form)
-        hinted = solve_standard_form(form, solver="auto")
-        scanned = solve_standard_form(rebuilt, solver="auto")
-        assert hinted[0] == scanned[0]
-        assert np.array_equal(hinted[1], scanned[1], equal_nan=True)
-        assert hinted[5] == scanned[5] == "structured"

@@ -205,25 +205,90 @@ class TestRecordedMode:
 
         asyncio.run(scenario())
 
-    def test_engine_error_poisons_gateway(self, source, dataset):
+    def test_late_batch_refused_without_poisoning(self, source, dataset):
         async def scenario():
             engine = _engine(source, dataset)
             gateway = await AdmissionGateway(engine).start()
             regions = engine._keys_tuple
-            late = [Job(job_id=0, workload="web-search", arrival_time=5000.0,
-                        execution_time=60.0, energy_kwh=0.1, home_region=regions[0])]
-            early = [Job(job_id=1, workload="web-search", arrival_time=10.0,
-                         execution_time=60.0, energy_kwh=0.1, home_region=regions[0])]
-            await gateway.submit_nowait(late)
-            # The out-of-order arrival violates the watermark rule inside the
-            # engine; the gateway must surface it rather than hang.
-            (future,) = await gateway.submit_nowait(early)
-            with pytest.raises(ValueError, match="watermark"):
-                await future
-            with pytest.raises(RuntimeError, match="failed"):
-                await gateway.submit_nowait(_jobs(engine, 1, start_id=7))
 
-        asyncio.run(scenario())
+            def batch(job_id, arrival):
+                return [Job(job_id=job_id, workload="web-search", arrival_time=arrival,
+                            execution_time=60.0, energy_kwh=0.1, home_region=regions[0])]
+
+            futures = await gateway.submit_nowait(batch(0, 100.0))
+            # Still queued, the t = 100 s batch already sets the watermark the
+            # engine will have when it reaches a batch submitted now.
+            assert engine.state is None or engine.state.watermark < 100.0
+            with pytest.raises(ValueError, match="watermark"):
+                await gateway.submit_nowait(batch(1, 50.0))
+            # A queued tick(now) raises it too.
+            tick = asyncio.ensure_future(gateway.tick(300.0))
+            await asyncio.sleep(0)
+            assert not tick.done()
+            with pytest.raises(ValueError, match="watermark"):
+                await gateway.submit_nowait(batch(2, 200.0))
+            futures += await gateway.submit_nowait(batch(3, 400.0))
+            await tick
+            result = await gateway.close()
+            return futures, result, gateway.stats()
+
+        futures, result, stats = asyncio.run(scenario())
+        assert all(f.done() and f.exception() is None for f in futures)
+        assert sorted(f.result().job_id for f in futures) == [0, 3]
+        assert result.num_jobs == 2
+        assert stats.submitted == stats.decided == 2 and stats.outstanding == 0
+
+    def test_batch_at_the_queued_watermark_is_accepted(self, source, dataset):
+        # Only arrivals strictly before the watermark are late: a batch that
+        # starts at the last queued arrival, or at a queued tick(now), is
+        # decided like any other.
+        async def scenario():
+            engine = _engine(source, dataset)
+            gateway = await AdmissionGateway(engine).start()
+            regions = engine._keys_tuple
+
+            def batch(job_id, arrival):
+                return [Job(job_id=job_id, workload="web-search", arrival_time=arrival,
+                            execution_time=60.0, energy_kwh=0.1, home_region=regions[0])]
+
+            futures = await gateway.submit_nowait(batch(0, 100.0))
+            futures += await gateway.submit_nowait(batch(1, 100.0))
+            tick = asyncio.ensure_future(gateway.tick(250.0))
+            await asyncio.sleep(0)
+            futures += await gateway.submit_nowait(batch(2, 250.0))
+            await tick
+            result = await gateway.close()
+            return futures, result
+
+        futures, result = asyncio.run(scenario())
+        assert [f.result().job_id for f in futures] == [0, 1, 2]
+        assert result.num_jobs == 3
+
+    def test_refused_batch_registers_no_waiter(self, source, dataset):
+        # A late batch is refused before any of its ids is registered, so the
+        # same ids can be submitted again with valid arrivals.
+        async def scenario():
+            engine = _engine(source, dataset)
+            gateway = await AdmissionGateway(engine).start()
+            regions = engine._keys_tuple
+
+            def batch(ids, arrival):
+                return [Job(job_id=job_id, workload="web-search", arrival_time=arrival,
+                            execution_time=60.0, energy_kwh=0.1, home_region=regions[0])
+                        for job_id in ids]
+
+            futures = await gateway.submit_nowait(batch([0], 100.0))
+            with pytest.raises(ValueError, match="watermark"):
+                await gateway.submit_nowait(batch([1, 2], 50.0))
+            refused = gateway.stats()
+            futures += await gateway.submit_nowait(batch([1, 2], 150.0))
+            result = await gateway.close()
+            return futures, refused, result
+
+        futures, refused, result = asyncio.run(scenario())
+        assert refused.submitted == refused.outstanding == 1
+        assert sorted(f.result().job_id for f in futures) == [0, 1, 2]
+        assert result.num_jobs == 3
 
 
 class TestClockMode:

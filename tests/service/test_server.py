@@ -157,6 +157,26 @@ class TestProtocol:
         assert stats["ok"] and stats["stats"]["decided"] == 0
         assert shutdown["ok"]
 
+    def test_non_object_requests_answered_on_an_open_connection(self, source, dataset):
+        async def scenario():
+            _engine_, server = await _start_server(source, dataset)
+            serve = asyncio.ensure_future(server.serve_until_shutdown())
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            replies = [
+                await asyncio.wait_for(_rpc(reader, writer, request), timeout=10.0)
+                for request in ([1, 2], None, "x", {"op": "stats"})
+            ]
+            await _rpc(reader, writer, {"op": "shutdown"})
+            await asyncio.wait_for(serve, timeout=10.0)
+            writer.close()
+            await server.stop()
+            return replies
+
+        *errors, stats = asyncio.run(scenario())
+        for error, kind in zip(errors, ("list", "NoneType", "str")):
+            assert not error["ok"] and "JSON object" in error["error"] and kind in error["error"]
+        assert stats["ok"]
+
     def test_shutdown_stops_a_poisoned_server(self, source, dataset):
         contexts = []
 

@@ -9,8 +9,8 @@
 * :mod:`repro.analysis.parallel` — sweep points: parameter-grid expansion
   with deterministic content-based seeding.
 * :mod:`repro.analysis.fabric` — :func:`run_sweep`, the one sweep path:
-  fused shards (:mod:`repro.analysis.shard`) leased to local worker
-  processes, or run serially in-process, and merged exactly.
+  fused shards (:mod:`repro.analysis.shard`), each run whole on one local
+  worker process or serially in-process, digest-identical either way.
 * :mod:`repro.analysis.experiments` — one function per paper table/figure;
   the benchmark harness and EXPERIMENTS.md are generated from these.
 """

@@ -94,7 +94,7 @@ class SweepOutcome:
     """Small, picklable result of one sweep point.
 
     ``digest`` is the CRC32 aggregate fingerprint of the point's result.
-    Every ``run_sweep`` outcome carries the merged ``StreamResult.digest()``,
+    Every ``run_sweep`` outcome carries its shard's ``StreamResult.digest()``,
     identical on every transport, worker count and shard layout.  The
     per-cell :func:`_run_point` oracle fills it from ``BatchResult.digest``
     instead (``None`` on the scalar engine, which has no digest); the two

@@ -243,11 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=None,
                        help="worker processes (process transport; default: "
                             "min(4, cpu count))")
-    sweep.add_argument(
-        "--chunks-per-slab", type=int, default=None,
-        help="split each shard into time slabs of this many chunks "
-             "(fault-recovery granularity; default: one slab per shard)",
-    )
     sweep.add_argument("--chunk-size", type=int, default=4096,
                        help="jobs per streaming chunk")
     sweep.add_argument(
@@ -732,7 +727,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         points,
         workers=args.workers,
         transport=args.transport,
-        chunks_per_slab=args.chunks_per_slab,
         chunk_size=args.chunk_size,
         checkpoint_dir=args.checkpoint_dir,
     )

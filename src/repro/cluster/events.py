@@ -130,15 +130,6 @@ class KernelStats:
     segment_passes: int = 0
     early_exits: int = 0
 
-    def merge(self, other: "KernelStats") -> None:
-        self.windows += other.windows
-        self.clean_events += other.clean_events
-        self.conveyor_events += other.conveyor_events
-        self.replayed_events += other.replayed_events
-        self.prefix_segments += other.prefix_segments
-        self.segment_passes += other.segment_passes
-        self.early_exits += other.early_exits
-
     @property
     def total_events(self) -> int:
         return self.clean_events + self.conveyor_events + self.replayed_events

@@ -43,9 +43,7 @@ class RunningFootprintTotals:
     released.  Picklable, so checkpoints carry it.
 
     Per-region sums accumulate in :class:`~repro.cluster.metrics.ExactSum`,
-    so every total is exactly invariant to chunking and — via :meth:`merge` —
-    to how a run was split into shards: partials from any partition of the
-    job stream combine bit-identically to a single-box accumulator.
+    so every total is exactly invariant to chunking.
     """
 
     def __init__(self, n_regions: int) -> None:
@@ -65,18 +63,6 @@ class RunningFootprintTotals:
             self._carbon[code].add_array(carbon_g[mask])
             self._water[code].add_array(water_l[mask])
         self.jobs_integrated += len(region_idx)
-
-    def merge(self, other: "RunningFootprintTotals") -> None:
-        """Fold another partial accumulator in exactly (any merge order)."""
-        if self.n_regions != other.n_regions:
-            raise ValueError(
-                f"cannot merge totals over {other.n_regions} regions into {self.n_regions}"
-            )
-        for mine, theirs in zip(self._carbon, other._carbon):
-            mine.merge(theirs)
-        for mine, theirs in zip(self._water, other._water):
-            mine.merge(theirs)
-        self.jobs_integrated += other.jobs_integrated
 
     @property
     def carbon_g_per_region(self) -> np.ndarray:

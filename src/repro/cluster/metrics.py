@@ -45,8 +45,8 @@ class ExactSum:
     happens once, in :meth:`value`, which means two accumulators fed the same
     multiset of values report bit-identical totals regardless of insertion
     order, chunking, or how they were combined from partial accumulators with
-    :meth:`merge`.  That invariance is what lets distributed shard results
-    combine bit-identically to a single-box fused run.
+    :meth:`merge`.  That invariance is what makes streaming aggregates
+    independent of chunk size and flush batching.
 
     :meth:`add_array` folds whole NumPy arrays with vectorized
     mantissa/exponent decomposition (``np.frexp`` + segmented int64 partial
@@ -474,40 +474,6 @@ class StreamingQuantiles:
         """All configured quantile estimates, keyed by quantile."""
         return {q: self.value(q) for q in self.qs}
 
-    def merge(self, other: "StreamingQuantiles") -> None:
-        """Fold another estimator over the same grid in exactly.
-
-        Bin counts add and min/max combine, so the merged estimator is
-        *identical* to one that saw the union of both value streams in any
-        order — including the exact-mode handoff: the merged estimator stays
-        in exact mode iff the combined count is within ``exact_limit``, just
-        as a single-box estimator would.  ``other`` is not mutated.
-        """
-        if self.qs != other.qs or self._exact_limit != other._exact_limit:
-            raise ValueError("cannot merge StreamingQuantiles with different configs")
-        if self._log_lo != other._log_lo or self._log_hi != other._log_hi or len(
-            self._counts
-        ) != len(other._counts):
-            raise ValueError("cannot merge StreamingQuantiles with different grids")
-        if other.count == 0:
-            return
-        self.count += other.count
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        if self._exact is not None and other._exact is not None:
-            self._exact.extend(other._exact)
-            if len(self._exact) > self._exact_limit:
-                self._fold(np.asarray(self._exact))
-                self._exact = None
-            return
-        if self._exact is not None:
-            if self._exact:
-                self._fold(np.asarray(self._exact))
-            self._exact = None
-        self._counts += other._counts
-        if other._exact:
-            self._fold(np.asarray(other._exact))
-
 
 class ReservoirSample:
     """Uniform fixed-size sample over a stream of per-job rows (algorithm R).
@@ -571,9 +537,8 @@ class RunningJobStats:
     Memory is O(regions + reservoir), independent of the number of jobs.
 
     Float totals accumulate in :class:`ExactSum`, so every figure is exactly
-    invariant to chunking and — via :meth:`merge` — to how a run was split
-    into shards: partial stats from any partition of the job stream combine
-    bit-identically to a single accumulator that saw everything.
+    invariant to chunking: the order in which finished jobs are flushed never
+    moves a bit.
     """
 
     def __init__(
@@ -700,33 +665,3 @@ class RunningJobStats:
 
     def service_ratio_quantiles(self) -> dict[float, float]:
         return self.quantiles.values()
-
-    def merge(self, other: "RunningJobStats") -> None:
-        """Fold another partial accumulator in exactly.
-
-        Commutative and associative: merging per-shard stats in any order
-        yields the same figures, bit for bit, as one accumulator over the
-        whole job stream.  The reservoir is the one exception — a uniform
-        sample of a union cannot be reconstructed from two independent
-        samples, so merged stats drop it.  ``other`` is not mutated.
-        """
-        if self.n_regions != other.n_regions:
-            raise ValueError(
-                f"cannot merge stats over {other.n_regions} regions into {self.n_regions}"
-            )
-        if self.delay_tolerance != other.delay_tolerance:
-            raise ValueError("cannot merge stats with different delay tolerances")
-        self.num_jobs += other.num_jobs
-        self._carbon_g.merge(other._carbon_g)
-        self._water_l.merge(other._water_l)
-        self._service_ratio_sum.merge(other._service_ratio_sum)
-        self._queue_delay_sum.merge(other._queue_delay_sum)
-        self._transfer_sum.merge(other._transfer_sum)
-        self._execution_sum.merge(other._execution_sum)
-        self.violations += other.violations
-        self.migrated += other.migrated
-        self.evictions += other.evictions
-        self.jobs_per_region = self.jobs_per_region + other.jobs_per_region
-        self.quantiles.merge(other.quantiles)
-        if other.num_jobs and self.reservoir is not None:
-            self.reservoir = None

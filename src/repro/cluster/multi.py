@@ -141,8 +141,9 @@ class MultiPolicyRunner:
         :meth:`StreamingSimulator.run_chunks <repro.cluster.streaming.StreamingSimulator.run_chunks>`:
         chunks are pulled starting after the jobs the (lockstepped) states
         have already seen, so the same call pattern works for fresh runs and
-        resumed checkpoints — the shard fabric uses it to run one time slab
-        at a time.  Returns the number of chunks consumed.
+        resumed checkpoints — the shard fabric uses it to run a shard
+        ``checkpoint_every`` chunks at a time.  Returns the number of chunks
+        consumed.
         """
         engines = list(self.engines.values())
         for engine in engines:
@@ -164,24 +165,6 @@ class MultiPolicyRunner:
     def finalize(self) -> dict[str, object]:
         """Finalize every engine; ``{label: result}`` (see :meth:`run`)."""
         return {label: engine.finalize() for label, engine in self.engines.items()}
-
-    def reset_collectors(self) -> None:
-        """Fresh aggregate collectors on every engine (see ``reset_collector``)."""
-        for engine in self.engines.values():
-            engine.reset_collector()
-
-    def partials(self) -> dict[str, tuple[object, object]]:
-        """Per-policy ``(RunningJobStats, RunningFootprintTotals)`` partials.
-
-        Snapshot of each engine's aggregate collector — what a time slab has
-        accumulated since the last :meth:`reset_collectors`.  The shard
-        fabric ships these to the coordinator, which merges them exactly.
-        """
-        out: dict[str, tuple[object, object]] = {}
-        for label, engine in self.engines.items():
-            collector = engine.state.collector
-            out[label] = (collector.stats, collector.footprints)
-        return out
 
     # -- checkpointing -----------------------------------------------------------------
     def save_checkpoint(self, path, extra: dict | None = None) -> None:

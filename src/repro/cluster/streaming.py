@@ -94,8 +94,8 @@ def atomic_pickle_dump(path, payload) -> None:
     Serialize first, write to a sibling temp file, then ``os.replace()`` over
     the target.  A crash mid-write (or a full disk) leaves the previous file
     intact instead of a truncated, unloadable pickle — the whole point of
-    checkpointing long runs.  Shared by engine checkpoints and the shard
-    fabric's spill files.
+    checkpointing long runs.  Shared by single-engine and fused multi-policy
+    checkpoints (the latter are the shard fabric's).
     """
     target = Path(path)
     blob = pickle.dumps(payload)
@@ -554,13 +554,14 @@ class StreamResult:
         makespan and quantile estimates, and excludes wall-clock measurements
         (decision/round times) and the reservoir sample.  Because the
         accumulators are exact and order-independent, the digest is invariant
-        to chunk size *and any sharded partition of the job stream* merged
-        through the fabric — the distributed differential gate asserts
-        equality against the single-box fused run.  It is not invariant to
-        the event kernel: the ``vector`` and ``scalar`` kernels sum busy
-        server-seconds in different float orders, so region utilization (and
-        with it the digest) may differ in the last bits between them; every
-        other hashed field is identical.
+        to chunk size and to resuming from a checkpoint; and each policy owns
+        its engine state, so a fabric shard over a subset of a fused group's
+        policies gives each cell the digest of one unsharded fused pass — the
+        distributed differential gate asserts that equality.  It is not
+        invariant to the event kernel: the ``vector`` and ``scalar`` kernels
+        sum busy server-seconds in different float orders, so region
+        utilization (and with it the digest) may differ in the last bits
+        between them; every other hashed field is identical.
         """
         stats = self.stats
         quantiles = stats.quantiles
@@ -994,29 +995,6 @@ class StreamingSimulator(_SimulatorBase):
         """Stream the whole source (resuming if state was loaded) and finalize."""
         self.run_chunks()
         return self.finalize()
-
-    def reset_collector(self) -> None:
-        """Swap in a fresh aggregate collector (the shard fabric's slab seam).
-
-        The fabric runs one (workload × policy) lineage as a chain of time
-        slabs: each slab resets the collector on entry so its finalized
-        aggregates cover only the jobs retired *during* the slab, and the
-        coordinator merges the per-slab partials exactly
-        (:meth:`RunningJobStats.merge`).  The replacement collector carries
-        no reservoir — a uniform sample cannot be merged, so sharded runs
-        disable it throughout.  Only ``collect="aggregate"`` has mergeable
-        partials.
-        """
-        if self.collect != "aggregate":
-            raise RuntimeError("reset_collector requires collect='aggregate'")
-        if self.state is None:
-            raise RuntimeError("no state to reset: run init_state()/advance() first")
-        self.state.collector = _AggregateCollector(
-            len(self.region_keys),
-            self.delay_tolerance,
-            reservoir_size=0,
-            seed=self.reservoir_seed,
-        )
 
     def run_chunks(self, max_chunks: int | None = None) -> int:
         """Advance up to ``max_chunks`` chunks (all remaining when ``None``).

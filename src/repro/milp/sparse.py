@@ -27,7 +27,7 @@ __all__ = ["CsrMatrix", "SparseConstraints"]
 class CsrMatrix:
     """Minimal CSR matrix: ``shape`` plus the classic three-array layout.
 
-    Only what the solver core needs is implemented (construction, matvec,
+    Only what the solver core needs is implemented (construction and
     densification); anything fancier should go through SciPy where it is
     available.  The field names match :class:`scipy.sparse.csr_matrix`, so
     code that only reads ``shape``/``indptr``/``indices``/``data`` accepts
@@ -75,17 +75,6 @@ class CsrMatrix:
     def nnz(self) -> int:
         return len(self.data)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x`` (row-wise segment sums over the CSR layout)."""
-        if self.shape[0] == 0:
-            return np.zeros(0)
-        products = self.data * x[self.indices]
-        return np.bincount(
-            np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)),
-            weights=products,
-            minlength=self.shape[0],
-        )
-
     def toarray(self) -> np.ndarray:
         dense = np.zeros(self.shape)
         rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
@@ -102,29 +91,8 @@ class SparseConstraints:
 
     @classmethod
     def from_arrays(cls, a_ub, a_eq) -> "SparseConstraints":
-        return cls(a_ub=_as_csr(a_ub), a_eq=_as_csr(a_eq))
+        return cls(a_ub=CsrMatrix.from_dense(a_ub), a_eq=CsrMatrix.from_dense(a_eq))
 
     @property
     def nnz(self) -> int:
         return self.a_ub.nnz + self.a_eq.nnz
-
-    def density(self) -> float:
-        """Fraction of stored entries over the dense size (1.0 when empty)."""
-        rows = self.a_ub.shape[0] + self.a_eq.shape[0]
-        cols = self.a_ub.shape[1]
-        dense_size = rows * cols
-        return float(self.nnz) / dense_size if dense_size else 1.0
-
-
-def _as_csr(matrix) -> CsrMatrix:
-    if isinstance(matrix, CsrMatrix):
-        return matrix
-    if hasattr(matrix, "indptr") and hasattr(matrix, "indices") and hasattr(matrix, "data"):
-        # Any CSR-layout object (e.g. scipy.sparse.csr_matrix).
-        return CsrMatrix(
-            shape=tuple(matrix.shape),
-            indptr=np.asarray(matrix.indptr, dtype=np.int64),
-            indices=np.asarray(matrix.indices, dtype=np.int64),
-            data=np.asarray(matrix.data, dtype=float),
-        )
-    return CsrMatrix.from_dense(np.asarray(matrix, dtype=float))

@@ -1,27 +1,24 @@
-"""Unit tests for the shard protocol (spec identity, slab chaining, merge).
+"""Unit tests for the shard protocol (spec identity, derivation, resume).
 
 The end-to-end distributed == fused digest equality lives in the
 integration differential suite; this file covers the protocol mechanics:
-spec validation and identity, deterministic lineage-addressed
-checkpoint names, orphan identification, the three-way resume state machine
-of :func:`run_shard`, and :class:`MergeableAggregates` order independence.
+spec validation and identity, deterministic shard-addressed checkpoint
+names, and :func:`run_shard` resuming from its own checkpoint.
 """
 
 import pickle
-import random
 
 import pytest
 
-from repro.analysis import run_sweep
 from repro.analysis.parallel import SweepPoint
 from repro.analysis.shard import (
-    MergeableAggregates,
     ShardSpec,
     checkpoint_path,
     derive_shards,
-    orphan_checkpoints,
     run_shard,
 )
+from repro.cluster.multi import MultiPolicyRunner
+from repro.cluster.streaming import StreamingSimulator
 
 _WORKLOAD = dict(trace_kind="bursty", rate_per_hour=50.0, duration_days=0.1)
 
@@ -41,33 +38,33 @@ class TestShardSpec:
         mixed = [points[0], SweepPoint(scheduler="baseline", **{**_WORKLOAD, "seed": 9})]
         with pytest.raises(ValueError, match="fuse key"):
             ShardSpec(points=tuple(mixed), indices=(0, 1))
-        with pytest.raises(ValueError, match="max_chunks"):
-            ShardSpec(points=(points[0],), indices=(0,), max_chunks=0)
+        with pytest.raises(ValueError, match="chunk_size"):
+            ShardSpec(points=(points[0],), indices=(0,), chunk_size=0)
 
-    def test_lineage_is_slab_invariant_and_key_is_not(self):
+    def test_key_covers_points_indices_and_chunking(self):
         spec = ShardSpec(points=tuple(_points()), indices=(0, 1), chunk_size=64)
-        successor = spec.continuation(chunks_done=5)
-        assert successor.chunk_start == 5
-        assert successor.slab == 1
-        assert successor.lineage() == spec.lineage()
-        assert successor.key() != spec.key()
-        other_chunking = ShardSpec(
-            points=tuple(_points()), indices=(0, 1), chunk_size=128
-        )
-        assert other_chunking.lineage() != spec.lineage()
+        assert spec.key() == ShardSpec(
+            points=tuple(_points()), indices=(0, 1), chunk_size=64
+        ).key()
+        for other in (
+            ShardSpec(points=tuple(_points()), indices=(0, 1), chunk_size=128),
+            ShardSpec(points=tuple(_points()), indices=(2, 3), chunk_size=64),
+            ShardSpec(
+                points=tuple(_points(("baseline", "waterwise"))),
+                indices=(0, 1),
+                chunk_size=64,
+            ),
+        ):
+            assert other.key() != spec.key()
 
     def test_pickle_round_trip(self, tmp_path):
         # The process transport hands specs to its workers through
-        # multiprocessing queues: a pickled spec must come back equal, with
-        # the same identity and so the same lineage checkpoint file.
-        spec = ShardSpec(
-            points=tuple(_points()), indices=(3, 7), chunk_size=64,
-            chunk_start=4, max_chunks=2, slab=2,
-        )
+        # multiprocessing pipes: a pickled spec must come back equal, with
+        # the same identity and so the same checkpoint file.
+        spec = ShardSpec(points=tuple(_points()), indices=(3, 7), chunk_size=64)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert clone.key() == spec.key()
-        assert clone.lineage() == spec.lineage()
         assert checkpoint_path(tmp_path, clone) == checkpoint_path(tmp_path, spec)
 
 
@@ -78,7 +75,6 @@ class TestDeriveShards:
         )
         shards = derive_shards(points, policies_per_shard=2)
         assert [shard.indices for shard in shards] == [(0, 1), (2,), (3, 4)]
-        assert all(shard.slab == 0 for shard in shards)
         # Pure function of the points: every coordinator derives the same list.
         assert derive_shards(points, policies_per_shard=2) == shards
 
@@ -86,87 +82,75 @@ class TestDeriveShards:
         shards = derive_shards(_points(("baseline", "least-load")))
         assert [shard.indices for shard in shards] == [(0,), (1,)]
 
+    def test_rejects_nonpositive_policies_per_shard(self):
+        with pytest.raises(ValueError, match="policies_per_shard"):
+            derive_shards(_points(), policies_per_shard=0)
+
 
 class TestCheckpointNaming:
-    def test_redispatch_and_successor_share_one_file(self, tmp_path):
-        spec = ShardSpec(points=tuple(_points()), indices=(0, 1), max_chunks=2)
-        path = checkpoint_path(tmp_path, spec)
-        assert path.name == f"shard-{spec.lineage()}.ckpt"
-        assert checkpoint_path(tmp_path, spec.continuation(2)) == path
-
-    def test_orphans_are_identifiable(self, tmp_path):
+    def test_every_run_of_a_shard_shares_one_file(self, tmp_path):
         spec = ShardSpec(points=tuple(_points()), indices=(0, 1))
-        alive = checkpoint_path(tmp_path, spec)
-        alive.write_bytes(b"x")
-        stale = tmp_path / "shard-deadbeefdeadbeef.ckpt"
-        stale.write_bytes(b"x")
-        (tmp_path / "unrelated.pkl").write_bytes(b"x")
-        assert orphan_checkpoints(tmp_path, [spec]) == [stale]
+        path = checkpoint_path(tmp_path, spec)
+        assert path.name == f"shard-{spec.key()}.ckpt"
+        assert checkpoint_path(tmp_path, derive_shards(_points(), 2)[0]) == path
 
 
 class TestRunShardResume:
-    def test_missing_predecessor_checkpoint_is_an_error(self, tmp_path):
-        spec = ShardSpec(
-            points=tuple(_points()), indices=(0, 1), chunk_size=16,
-            chunk_start=3, max_chunks=2, slab=1,
-        )
-        with pytest.raises(FileNotFoundError, match="predecessor never wrote"):
-            run_shard(spec, tmp_path)
+    def test_rerun_resumes_from_its_checkpoint(self, tmp_path, monkeypatch):
+        # A shard run again over its own checkpoint directory — what a
+        # re-dispatch after a worker loss does — runs only the chunks after
+        # the one the checkpoint records and finishes with identical results.
+        spec = ShardSpec(points=tuple(_points()), indices=(0, 1), chunk_size=16)
+        first = run_shard(spec, tmp_path, checkpoint_every=2)
+        payload = StreamingSimulator.load_checkpoint(checkpoint_path(tmp_path, spec))
+        resumed_at = payload["extra"]["chunks_done"]
+        assert 0 < resumed_at <= first.chunks_done
+        run_chunks = MultiPolicyRunner.run_chunks
+        consumed = []
 
-    def test_incomplete_predecessor_is_an_error(self, tmp_path):
-        spec = ShardSpec(
-            points=tuple(_points()), indices=(0, 1), chunk_size=16, max_chunks=1
-        )
-        first = run_shard(spec, tmp_path)
-        assert not first.final and first.chunks_done == 1
-        # A slab claiming to start past what the lineage checkpoint covers
-        # means its predecessor never finished.
-        skipped = spec.continuation(5)
-        with pytest.raises(RuntimeError, match="predecessor slab is incomplete"):
-            run_shard(skipped, tmp_path)
+        def counting_run_chunks(runner, max_chunks=None):
+            consumed.append(run_chunks(runner, max_chunks=max_chunks))
+            return consumed[-1]
 
-    def test_redispatch_of_completed_slab_replays_nothing(self, tmp_path):
-        # A worker that died between its end-of-slab checkpoint and result
-        # delivery: the re-dispatched shard finds chunks_done == its own end
-        # and returns the identical partial without replaying chunks.
-        spec = ShardSpec(
-            points=tuple(_points()), indices=(0, 1), chunk_size=16, max_chunks=2
-        )
-        first = run_shard(spec, tmp_path)
-        again = run_shard(spec, tmp_path)
-        assert again.final == first.final
+        monkeypatch.setattr(MultiPolicyRunner, "run_chunks", counting_run_chunks)
+        again = run_shard(spec, tmp_path, checkpoint_every=2)
+        assert sum(consumed) == first.chunks_done - resumed_at
         assert again.chunks_done == first.chunks_done
-        for index in first.partials:
-            a, b = first.partials[index][0], again.partials[index][0]
-            assert (a.num_jobs, a.carbon_g, a.water_l) == (
-                b.num_jobs, b.carbon_g, b.water_l
-            )
-
-
-class TestMergeableAggregates:
-    def test_any_arrival_order_matches_fused_run(self, tmp_path):
-        points = _points(("baseline", "least-load", "round-robin"))
-        reference = {
-            i: outcome.digest
-            for i, outcome in enumerate(
-                run_sweep(points, transport="inprocess", policies_per_shard=len(points))
-            )
+        assert {i: r.digest() for i, r in again.results.items()} == {
+            i: r.digest() for i, r in first.results.items()
         }
-        shards = derive_shards(points, chunks_per_slab=2, chunk_size=16)
-        results = []
-        pending = list(shards)
-        while pending:  # slabs of one lineage chain sequentially
-            spec = pending.pop(0)
-            result = run_shard(spec, tmp_path)
-            results.append(result)
-            if not result.final:
-                pending.append(spec.continuation(result.chunks_done))
-        assert len(results) > len(shards), "expected multi-slab lineages"
-        merged = MergeableAggregates()
-        rng = random.Random(5)
-        rng.shuffle(results)
-        for result in results:
-            merged.absorb(result)
-        assert merged.pending(range(len(points))) == []
-        got = {i: merged.result(i).digest() for i in range(len(points))}
-        assert got == reference
+
+    @pytest.mark.parametrize("checkpoint_every", [1, 3])
+    def test_checkpoint_cadence_does_not_move_results(self, checkpoint_every, tmp_path):
+        # Checkpoints are written between chunks and never alter the run: any
+        # cadence gives the digests of a lineage too short to checkpoint at
+        # all, and the last checkpoint records the last whole interval.
+        spec = ShardSpec(points=tuple(_points()), indices=(0, 1), chunk_size=16)
+        (tmp_path / "ref").mkdir()
+        reference = run_shard(spec, tmp_path / "ref", checkpoint_every=10**6)
+        assert not checkpoint_path(tmp_path / "ref", spec).exists()
+        result = run_shard(spec, tmp_path, checkpoint_every=checkpoint_every)
+        payload = StreamingSimulator.load_checkpoint(checkpoint_path(tmp_path, spec))
+        total = reference.chunks_done
+        assert payload["extra"]["chunks_done"] == total // checkpoint_every * checkpoint_every
+        assert result.chunks_done == total
+        assert {i: r.digest() for i, r in result.results.items()} == {
+            i: r.digest() for i, r in reference.results.items()
+        }
+
+    def test_results_keyed_by_sweep_index(self, tmp_path):
+        # A shard's results carry the cells' positions in the sweep, and each
+        # cell of a multi-policy shard equals that cell run as a shard alone.
+        points = _points()
+        spec = ShardSpec(points=tuple(points), indices=(3, 7), chunk_size=32)
+        result = run_shard(spec, tmp_path, checkpoint_every=1)
+        assert set(result.results) == {3, 7}
+        for point, index in zip(points, spec.indices):
+            alone = ShardSpec(points=(point,), indices=(index,), chunk_size=32)
+            single = run_shard(alone, tmp_path, checkpoint_every=1)
+            assert single.results[index].digest() == result.results[index].digest()
+
+    def test_rejects_nonpositive_checkpoint_interval(self, tmp_path):
+        spec = ShardSpec(points=tuple(_points()), indices=(0, 1))
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            run_shard(spec, tmp_path, checkpoint_every=0)

@@ -1,14 +1,17 @@
-"""Hypothesis property suite for the mergeable-aggregate layer.
+"""Hypothesis property suite for :class:`ExactSum` and the accumulators on it.
 
-The distributed sweep fabric's exactness rests on one algebraic claim: for
-every accumulator the streaming engine carries (:class:`ExactSum`,
-:class:`StreamingQuantiles`, :class:`RunningJobStats`,
-:class:`RunningFootprintTotals`), feeding any partition of the input —
-shuffled shards, empty shards, single-element shards — through per-shard
-accumulators and merging them *in any order* produces figures bit-identical
-to one accumulator that saw everything.  Hypothesis picks the values, the
-partition boundaries and the merge order; the asserts are ``==``, never
-``approx``.
+Every float total the streaming engine reports (:class:`RunningJobStats`,
+:class:`RunningFootprintTotals`) accumulates in :class:`ExactSum`, and the
+per-region footprint totals combine through :meth:`ExactSum.merge`.  That
+rests on one algebraic claim: feeding any partition of the input — shuffled
+shards, empty shards, single-element shards — through separate accumulators
+and merging them *in any order* produces a total bit-identical to one
+accumulator that saw everything.  On top of it, the engine's accumulators
+(with :class:`StreamingQuantiles`) report the same figures, bit for bit,
+whatever the chunking and order of the finished-job stream, which is what
+makes ``StreamResult.digest`` invariant to chunk size and to resuming from a
+checkpoint.  Hypothesis picks the values, the partition boundaries and the
+order; the asserts are ``==``, never ``approx``.
 """
 
 import math
@@ -96,47 +99,36 @@ class TestExactSum:
             ExactSum().add_array(np.array([1.0, float("inf")]))
 
 
+# -- chunk invariance of the accumulators built on ExactSum ------------------------------
+
 _RATIOS = st.floats(min_value=1e-4, max_value=1e6, allow_nan=False)
 
 
-class TestStreamingQuantilesMerge:
+class TestStreamingQuantilesChunking:
     @settings(max_examples=150, deadline=None)
     @given(_partitioned_values(elements=_RATIOS, max_size=80), st.integers(4, 64))
-    def test_merge_matches_single_accumulator(self, case, exact_limit):
+    def test_any_chunking_matches_one_batch(self, case, exact_limit):
         # Small exact_limit so Hypothesis crosses the exact→histogram
-        # handoff in every direction (both exact, one folded, both folded).
-        values, shards = case
+        # handoff inside a chunk, at a chunk boundary, or never.
+        values, chunks = case
         single = StreamingQuantiles(exact_limit=exact_limit)
         single.add_many(np.asarray(values))
-        merged = StreamingQuantiles(exact_limit=exact_limit)
-        for shard in shards:
-            partial = StreamingQuantiles(exact_limit=exact_limit)
-            partial.add_many(np.asarray(shard))
-            merged.merge(partial)
-        assert merged.count == single.count
+        chunked = StreamingQuantiles(exact_limit=exact_limit)
+        for chunk in chunks:
+            chunked.add_many(np.asarray(chunk))
+        assert chunked.count == single.count
         if single.count:
-            assert merged.min == single.min
-            assert merged.max == single.max
-            assert merged.values() == single.values()
+            assert chunked.min == single.min
+            assert chunked.max == single.max
+            assert chunked.values() == single.values()
         else:
-            assert all(math.isnan(v) for v in merged.values().values())
-        # The exact-mode handoff must match single-box behavior too: exact
-        # iff the combined count is within the limit.
-        assert (merged._exact is not None) == (single._exact is not None)
-
-    def test_merge_rejects_mismatched_configs(self):
-        a = StreamingQuantiles(exact_limit=8)
-        with pytest.raises(ValueError):
-            a.merge(StreamingQuantiles(exact_limit=16))
-        with pytest.raises(ValueError):
-            a.merge(StreamingQuantiles(quantiles=(0.25,), exact_limit=8))
-        with pytest.raises(ValueError):
-            a.merge(StreamingQuantiles(bins=64, exact_limit=8))
+            assert all(math.isnan(v) for v in chunked.values().values())
+        assert (chunked._exact is not None) == (single._exact is not None)
 
 
 @st.composite
 def _job_columns(draw, n_regions):
-    """One shard's worth of finished-job columns (possibly empty)."""
+    """One chunk's worth of finished-job columns (possibly empty)."""
     n = draw(st.integers(min_value=0, max_value=25))
     region = draw(st.lists(st.integers(0, n_regions - 1), min_size=n, max_size=n))
     home = draw(st.lists(st.integers(0, n_regions - 1), min_size=n, max_size=n))
@@ -167,11 +159,19 @@ def _job_columns(draw, n_regions):
 
 
 @st.composite
-def _sharded_jobs(draw):
+def _chunked_jobs(draw):
+    """(n_regions, chunks, batch): a job stream in chunks and in one batch.
+
+    ``batch`` concatenates the chunks in a shuffled order, so the one-batch
+    accumulator sees the jobs in another order as well as another chunking.
+    """
     n_regions = draw(st.integers(min_value=1, max_value=4))
-    shards = draw(st.lists(_job_columns(n_regions), min_size=1, max_size=5))
-    order = draw(st.permutations(range(len(shards))))
-    return n_regions, shards, list(order)
+    chunks = draw(st.lists(_job_columns(n_regions), min_size=1, max_size=5))
+    order = draw(st.permutations(range(len(chunks))))
+    batch = {
+        name: np.concatenate([chunks[i][name] for i in order]) for name in chunks[0]
+    }
+    return n_regions, chunks, batch
 
 
 def _stats_figures(stats: RunningJobStats):
@@ -194,75 +194,31 @@ def _stats_figures(stats: RunningJobStats):
     )
 
 
-class TestRunningJobStatsMerge:
+class TestRunningJobStatsChunking:
     @settings(max_examples=100, deadline=None)
-    @given(_sharded_jobs())
-    def test_merge_matches_single_accumulator(self, case):
-        n_regions, shards, order = case
+    @given(_chunked_jobs())
+    def test_any_chunking_matches_one_batch(self, case):
+        n_regions, chunks, batch = case
         single = RunningJobStats(n_regions, delay_tolerance=0.5)
-        for shard in shards:  # single box sees shards in input order
-            single.add(**shard)
-        merged = RunningJobStats(n_regions, delay_tolerance=0.5)
-        for i in order:  # distributed merge folds them in a shuffled order
-            partial = RunningJobStats(n_regions, delay_tolerance=0.5)
-            partial.add(**shards[i])
-            merged.merge(partial)
-        assert _stats_figures(merged) == _stats_figures(single)
-
-    def test_merge_rejects_mismatched_config(self):
-        a = RunningJobStats(2, delay_tolerance=0.5)
-        with pytest.raises(ValueError):
-            a.merge(RunningJobStats(3, delay_tolerance=0.5))
-        with pytest.raises(ValueError):
-            a.merge(RunningJobStats(2, delay_tolerance=0.25))
-
-    def test_merge_drops_reservoir_when_other_saw_jobs(self):
-        # A uniform sample of a union cannot be rebuilt from two independent
-        # samples, so a merge that brings jobs invalidates the reservoir
-        # rather than silently biasing it.
-        a = RunningJobStats(1, delay_tolerance=0.5, reservoir_size=4)
-        b = RunningJobStats(1, delay_tolerance=0.5)
-        one = {
-            "region_idx": np.array([0]),
-            "home_idx": np.array([0]),
-            "considered": np.array([0.0]),
-            "ready": np.array([0.0]),
-            "start": np.array([1.0]),
-            "finish": np.array([2.0]),
-            "execution_time": np.array([1.0]),
-            "transfer_latency": np.array([0.0]),
-            "carbon_g": np.array([1.0]),
-            "water_l": np.array([1.0]),
-        }
-        b.add(**one)
-        a.merge(b)
-        assert a.reservoir is None
-        c = RunningJobStats(1, delay_tolerance=0.5, reservoir_size=4)
-        c.merge(RunningJobStats(1, delay_tolerance=0.5))  # empty merge keeps it
-        assert c.reservoir is not None
+        single.add(**batch)
+        chunked = RunningJobStats(n_regions, delay_tolerance=0.5)
+        for chunk in chunks:
+            chunked.add(**chunk)
+        assert _stats_figures(chunked) == _stats_figures(single)
 
 
-class TestRunningFootprintTotalsMerge:
+class TestRunningFootprintTotalsChunking:
     @settings(max_examples=100, deadline=None)
-    @given(_sharded_jobs())
-    def test_merge_matches_single_accumulator(self, case):
-        n_regions, shards, order = case
+    @given(_chunked_jobs())
+    def test_any_chunking_matches_one_batch(self, case):
+        n_regions, chunks, batch = case
         single = RunningFootprintTotals(n_regions)
-        for shard in shards:
-            single.add(shard["region_idx"], shard["carbon_g"], shard["water_l"])
-        merged = RunningFootprintTotals(n_regions)
-        for i in order:
-            partial = RunningFootprintTotals(n_regions)
-            partial.add(
-                shards[i]["region_idx"], shards[i]["carbon_g"], shards[i]["water_l"]
-            )
-            merged.merge(partial)
-        assert merged.jobs_integrated == single.jobs_integrated
-        assert merged.carbon_g_per_region.tolist() == single.carbon_g_per_region.tolist()
-        assert merged.water_l_per_region.tolist() == single.water_l_per_region.tolist()
-        assert merged.total_carbon_g == single.total_carbon_g
-        assert merged.total_water_l == single.total_water_l
-
-    def test_merge_rejects_region_mismatch(self):
-        with pytest.raises(ValueError):
-            RunningFootprintTotals(2).merge(RunningFootprintTotals(3))
+        single.add(batch["region_idx"], batch["carbon_g"], batch["water_l"])
+        chunked = RunningFootprintTotals(n_regions)
+        for chunk in chunks:
+            chunked.add(chunk["region_idx"], chunk["carbon_g"], chunk["water_l"])
+        assert chunked.jobs_integrated == single.jobs_integrated
+        assert chunked.carbon_g_per_region.tolist() == single.carbon_g_per_region.tolist()
+        assert chunked.water_l_per_region.tolist() == single.water_l_per_region.tolist()
+        assert chunked.total_carbon_g == single.total_carbon_g
+        assert chunked.total_water_l == single.total_water_l

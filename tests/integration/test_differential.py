@@ -329,14 +329,18 @@ class TestRegistryWideEquivalence:
                 )
                 assert ours.violation_fraction == theirs.violation_fraction
 
-    def test_distributed_sweep_digest_identical_registry_wide(self, tmp_path):
+    def test_distributed_sweep_digest_identical_registry_wide(
+        self, tmp_path, monkeypatch
+    ):
         # The shard fabric's exactness contract: a sweep over the ENTIRE
-        # live scheduler registry, split into per-policy time-slab shards
-        # and run on both transports, must reassemble to outcomes
-        # digest-identical (StreamResult.digest — every aggregate, bit for
-        # bit) to one unsharded fused pass.  A policy whose results drift
-        # under sharding — or an accumulator whose merge() loses exactness —
-        # fails here with zero new test code.
+        # live scheduler registry, split into per-policy shards and run on
+        # both transports, must return outcomes digest-identical
+        # (StreamResult.digest — every aggregate, bit for bit) to one
+        # unsharded fused pass.  On the inprocess leg every shard also
+        # fails once right after its second checkpoint and is re-run from
+        # it, so every policy's state must survive a mid-lineage resume.
+        # A policy whose results drift under sharding or resume fails here
+        # with zero new test code.
         from repro.analysis import SweepPoint, run_sweep
 
         points = [
@@ -354,17 +358,34 @@ class TestRegistryWideEquivalence:
         )
         expected = {i: outcome.digest for i, outcome in enumerate(reference)}
         assert all(digest is not None for digest in expected.values())
+
+        save_checkpoint = MultiPolicyRunner.save_checkpoint
+        crashed = set()
+
+        def crash_once_after_second_checkpoint(runner, path, extra=None):
+            save_checkpoint(runner, path, extra=extra)
+            if extra["chunks_done"] == 2 and path not in crashed:
+                crashed.add(path)
+                raise RuntimeError("simulated crash mid-lineage")
+
         for workers, transport in ((1, "inprocess"), (3, "process")):
-            outcomes = run_sweep(
-                points,
-                workers=workers,
-                transport=transport,
-                chunks_per_slab=2,
-                chunk_size=64,
-                checkpoint_dir=tmp_path / transport,
-            )
+            with monkeypatch.context() as patch:
+                if transport == "inprocess":
+                    patch.setattr(
+                        MultiPolicyRunner, "save_checkpoint",
+                        crash_once_after_second_checkpoint,
+                    )
+                outcomes = run_sweep(
+                    points,
+                    workers=workers,
+                    transport=transport,
+                    chunk_size=64,
+                    checkpoint_every=1,
+                    checkpoint_dir=tmp_path / transport,
+                )
             assert [o.point for o in outcomes] == points
             assert {i: o.digest for i, o in enumerate(outcomes)} == expected
+        assert len(crashed) == len(points)
 
     def test_sustainability_policies_use_fast_paths(self):
         # Guard the point of this PR: the paper's core policies no longer

@@ -299,6 +299,7 @@ class TestSweepCli:
             ["shard-worker", "--connect", "127.0.0.1:1", "--checkpoint-dir", "."],
             ["sweep", "--fused"],
             ["sweep", "--transport", "tcp"],
+            ["sweep", "--chunks-per-slab", "2"],
             ["simulate", "--stream"],
         ):
             with pytest.raises(SystemExit) as excinfo:
